@@ -9,6 +9,8 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
+import numpy as np
+
 from .errors import ContractError, DomainError
 from .grids import DISCRETE_FAMILIES, Family, MixtureSpec
 from .polynomials import moment_polynomial
@@ -38,7 +40,15 @@ def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
             return 1.0 if x == 0 else 0.0
         if p == 1.0:
             return 1.0 if x == n else 0.0
-        return comb(n, x) * p**x * (1.0 - p) ** (n - x)
+        try:
+            c = float(comb(n, x))
+        except OverflowError:
+            # C(n, x) exceeds the float range (n of about 1030 and up)
+            return math.exp(
+                math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+                + x * math.log(p) + (n - x) * math.log1p(-p)
+            )
+        return c * p**x * (1.0 - p) ** (n - x)
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         # p = 0 is a degenerate grid point contributing zero mass everywhere.
@@ -69,6 +79,44 @@ def _component_pdf(family: Family, shared, value: Fraction, x: float) -> float:
             - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
         )
     raise ContractError(f"{family.value} is not a continuous family")
+
+
+def _component_pdf_array(
+    family: Family, shared, value: Fraction, xs: np.ndarray
+) -> np.ndarray:
+    # the operations of _component_pdf, elementwise
+    if family is Family.GAUSSIAN:
+        s = shared.sigma
+        z = (xs - float(value)) / s
+        return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+    if family is Family.CHI_SQUARED:
+        d = int(value)
+        if np.any(xs < 0):
+            raise DomainError("chi-squared support is nonnegative")
+        at_zero = xs == 0.0
+        if d == 1 and np.any(at_zero):
+            raise DomainError("chi-squared(1) density diverges at 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.exp(
+                (d / 2.0 - 1.0) * np.log(xs) - xs / 2.0
+                - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
+            )
+        out[at_zero] = 0.5 if d == 2 else 0.0
+        return out
+    raise ContractError(f"{family.value} is not a continuous family")
+
+
+def pdf_array(spec: MixtureSpec, xs: np.ndarray) -> np.ndarray:
+    """Mixture density at every point of ``xs`` (continuous families).
+
+    NumPy's exp and log may differ from the math module's in the last bits,
+    so values can differ from ``pmf_or_pdf`` by a few ulps.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    total = np.zeros(xs.shape)
+    for w, v in spec.components():
+        total += float(w) * _component_pdf_array(spec.family, spec.shared, v, xs)
+    return total
 
 
 def pmf_or_pdf(spec: MixtureSpec, x: Real) -> float:

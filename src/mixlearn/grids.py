@@ -156,8 +156,13 @@ class MixtureSpec:
     shared: SharedParams = field(default_factory=SharedParams)
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
+        raw = [int(i) for i in self.indices]
+        order = sorted(range(len(raw)), key=raw.__getitem__)
+        idx = tuple(raw[o] for o in order)
         object.__setattr__(self, "indices", idx)
+        if len(self.weights) == len(raw):
+            # each weight belongs to the index given beside it
+            object.__setattr__(self, "weights", tuple(self.weights[o] for o in order))
         if not idx:
             raise DomainError("mixture needs at least one component")
         for i in idx:

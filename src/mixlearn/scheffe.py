@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,10 +53,22 @@ def scheffe_set(
     b: MixtureSpec,
     x_max: Optional[int] = None,
     provenance: Optional[Tuple[int, int]] = None,
+    masses: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> ScheffeSet:
+    """The set {x : a(x) >= b(x)}.
+
+    For discrete families ``masses`` may give a's and b's masses at
+    0..x_max, already evaluated (two rows of a density table); the set is
+    then read off them instead of evaluating the masses point by point.
+    """
     if a.family is not b.family or a.shared != b.shared:
         raise FamilyMismatchError("Scheffe sets need matching families")
     if a.family in DISCRETE_FAMILIES:
+        if masses is not None:
+            mass_a, mass_b = masses
+            pts = tuple(np.flatnonzero(mass_a >= mass_b).tolist())
+            return ScheffeSet(kind="discrete", points=pts, x_max=len(mass_a) - 1,
+                              provenance=provenance)
         if x_max is None:
             x_max = max(discrete_truncation(a, 1e-9), discrete_truncation(b, 1e-9))
         pts = tuple(
@@ -114,10 +126,13 @@ def empirical_measure(data: SampleDataset, s: ScheffeSet) -> Fraction:
 
 
 def set_probability(spec: MixtureSpec, s: ScheffeSet) -> float:
-    """Candidate probability of the set (exact pmf sum or CDF differences)."""
-    if s.kind == "discrete":
-        return sum(pmf_or_pdf(spec, x) for x in s.points)
+    """Candidate probability of the set: the pmf summed in point order, or a
+    sum of CDF differences in interval order."""
     total = 0.0
+    if s.kind == "discrete":
+        for x in s.points:
+            total += pmf_or_pdf(spec, x)
+        return total
     for lo, hi in s.intervals:
         hi_v = 1.0 if math.isinf(hi) else cdf(spec, hi)
         lo_v = 0.0 if math.isinf(lo) else cdf(spec, lo)
@@ -144,8 +159,20 @@ def candidate_family(
     return [uniform_spec(grid, idx, shared) for idx in maker(grid.indices(), k)]
 
 
+#: MDE tie rule: every candidate scoring within TIE_ULPS units in the last
+#: place of 1.0 (TIE_ULPS * 2**-52) of the smallest score is tied, and the
+#: smallest index tuple among them wins.  Scores and set probabilities lie in
+#: [0, 1], and summing a set probability in another order moves it by a few
+#: such units, so closer scores are not told apart.
+TIE_ULPS = 8
+
+
 @dataclass(frozen=True)
 class MdeResult:
+    """``delta`` is the winner's score: its largest discrepancy to the
+    empirical (or true) measure over the Scheffe sets; ``tie_broken`` says
+    that another candidate scored within the TIE_ULPS tolerance of it."""
+
     winner: int
     delta: float
     scores: Tuple[float, ...]
@@ -153,33 +180,80 @@ class MdeResult:
     sets: Tuple[ScheffeSet, ...] = ()
 
 
-def _scheffe_sets(candidates: Sequence[MixtureSpec]) -> List[ScheffeSet]:
+def _mass_table(specs: Sequence[MixtureSpec], x_max: int) -> np.ndarray:
+    """len(specs) x (x_max+1) table of masses at 0..x_max."""
+    return np.array([[pmf_or_pdf(c, x) for x in range(x_max + 1)] for c in specs])
+
+
+def _membership(sets: Sequence[ScheffeSet]) -> np.ndarray:
+    """(x_max+1) x len(sets) 0/1 matrix of the discrete sets' points."""
+    sizes = [len(s.points) for s in sets]
+    rows = np.fromiter(chain.from_iterable(s.points for s in sets),
+                       dtype=np.intp, count=sum(sizes))
+    member = np.zeros((max(s.x_max for s in sets) + 1, len(sets)), dtype=np.int64)
+    member[rows, np.repeat(np.arange(len(sets)), sizes)] = 1
+    return member
+
+
+def _table_set_probabilities(masses: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """masses @ member, each entry summed in point order as set_probability
+    sums it: adding the masses of the points outside a set adds exact
+    zeros, which leaves every partial sum unchanged."""
+    total = np.zeros((masses.shape[0], member.shape[1]))
+    for x in range(member.shape[0]):
+        total += masses[:, x, None] * member[x]
+    return total
+
+
+def _discrete_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    member = _membership(sets)
+    hist = np.bincount(values[values < member.shape[0]], minlength=member.shape[0])
+    return hist @ member
+
+
+def _interval_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    xs = np.sort(values)
+    los = np.array([lo for s in sets for lo, _ in s.intervals])
+    his = np.array([hi for s in sets for _, hi in s.intervals])
+    counts = (np.searchsorted(xs, his, side="right")
+              - np.searchsorted(xs, los, side="left"))
+    hits = np.zeros(len(sets), dtype=np.int64)
+    np.add.at(hits, np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets]),
+              counts)
+    return hits
+
+
+def precompute_mde(
+    candidates: Sequence[MixtureSpec],
+) -> Tuple[List[ScheffeSet], np.ndarray]:
+    """Scheffe sets for every unordered candidate pair and the candidate
+    set-probability matrix, computed once and shared across repeated
+    selections (read-only).
+
+    Complements carry the same discrepancy, so unordered pairs suffice.  For
+    discrete families each candidate's masses at 0..x_max are evaluated once
+    into one table; the sets and set probabilities are read off it.
+    """
     if len(candidates) < 2:
         raise ContractError("MDE needs at least 2 candidates")
     fam, shared = candidates[0].family, candidates[0].shared
     for c in candidates[1:]:
         if c.family is not fam or c.shared != shared:
             raise FamilyMismatchError("candidates must share family/parameters")
-    x_max = None
-    if fam in DISCRETE_FAMILIES:
-        x_max = max(discrete_truncation(c, 1e-9) for c in candidates)
-    # complements carry the same discrepancy, so unordered pairs suffice
-    return [
-        scheffe_set(candidates[i], candidates[j], x_max=x_max, provenance=(i, j))
-        for i, j in combinations(range(len(candidates)), 2)
+    pairs = list(combinations(range(len(candidates)), 2))
+    if fam not in DISCRETE_FAMILIES:
+        sets = [scheffe_set(candidates[i], candidates[j], provenance=(i, j))
+                for i, j in pairs]
+        probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
+        return sets, probs
+    x_max = max(discrete_truncation(c, 1e-9) for c in candidates)
+    masses = _mass_table(candidates, x_max)
+    sets = [
+        scheffe_set(candidates[i], candidates[j], provenance=(i, j),
+                    masses=(masses[i], masses[j]))
+        for i, j in pairs
     ]
-
-
-def precompute_mde(
-    candidates: Sequence[MixtureSpec],
-) -> Tuple[List[ScheffeSet], np.ndarray]:
-    """Scheffe sets and the candidate set-probability matrix, computed once
-    and shared across repeated selections (read-only)."""
-    sets = _scheffe_sets(candidates)
-    probs = np.array(
-        [[set_probability(c, s) for s in sets] for c in candidates]
-    )
-    return sets, probs
+    return sets, _table_set_probabilities(masses, _membership(sets))
 
 
 def mde_select(
@@ -193,24 +267,36 @@ def mde_select(
 
     Oracle mode (``truth`` given instead of ``data``) scores against the true
     set probabilities, isolating the selection rule from sampling noise.
+
+    The empirical measure of every set comes from one pass over the data: a
+    histogram times the sets' membership matrix for discrete sets, one sort
+    and one searchsorted over all interval ends for continuous sets.  It
+    equals ``empirical_measure`` set by set.
     """
     if (data is None) == (truth is None):
         raise ContractError("provide exactly one of data or truth")
     sets, probs = precomputed if precomputed is not None else precompute_mde(candidates)
+    discrete = sets[0].kind == "discrete"  # one family, so one kind
     if truth is not None:
-        emp = np.array([set_probability(truth, s) for s in sets])
+        if discrete:
+            member = _membership(sets)
+            masses = _mass_table([truth], member.shape[0] - 1)
+            emp = _table_set_probabilities(masses, member)[0]
+        else:
+            emp = np.array([set_probability(truth, s) for s in sets])
     else:
         if len(data) == 0:
             raise DomainError("empty dataset")
-        emp = np.array([float(empirical_measure(data, s)) for s in sets])
+        hits = (_discrete_hits if discrete else _interval_hits)(data.values, sets)
+        emp = hits / len(data)
     scores = np.abs(probs - emp[None, :]).max(axis=1)
-    best = float(scores.min())
-    winners = [i for i, s in enumerate(scores) if s == best]
-    winner = min(winners, key=lambda i: candidates[i].indices)
+    tol = TIE_ULPS * np.finfo(np.float64).eps
+    tied = np.flatnonzero(scores <= scores.min() + tol).tolist()
+    winner = min(tied, key=lambda i: candidates[i].indices)
     return MdeResult(
         winner=winner,
-        delta=best,
+        delta=float(scores[winner]),
         scores=tuple(float(s) for s in scores),
-        tie_broken=len(winners) > 1,
+        tie_broken=len(tied) > 1,
         sets=tuple(sets),
     )

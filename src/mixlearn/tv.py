@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import cdf, char_fn, mgf_a2x, pmf_or_pdf
+from .distributions import cdf, char_fn, mgf_a2x, pdf_array, pmf_or_pdf
 from .errors import (
     CapExceededError,
     CertificateUnavailableError,
@@ -138,39 +138,49 @@ def _continuous_range(spec: MixtureSpec, target: float) -> Tuple[float, float]:
     return 0.0, hi
 
 
-def _sign_scan_crossings(
-    f: Callable[[float], float], lo: float, hi: float, step: float, tol: float
-) -> List[float]:
-    crossings = []
-    x0, f0 = lo, f(lo)
-    x = lo + step
-    while x0 < hi:
-        x = min(x0 + step, hi)
-        f1 = f(x)
-        if f0 == 0.0 or (f0 < 0.0) != (f1 < 0.0):
-            a, b = x0, x
-            fa = f0
-            for _ in range(200):
-                if b - a <= tol:
-                    break
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if (fa < 0.0) == (fm < 0.0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            crossings.append(0.5 * (a + b))
-        x0, f0 = x, f1
-        if x >= hi:
+def _scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo+step, (lo+step)+step, ... summed in sequence, ending at the first
+    point that reaches hi, clipped to hi."""
+    # one step more than needed: rounding in the running sum drifts by far
+    # less than a step over the grid
+    n = int((hi - lo) / step) + 2
+    xs = np.add.accumulate(np.r_[lo, np.full(n, step)])
+    end = int(np.argmax(xs >= hi))
+    xs = xs[: end + 1]
+    xs[end] = hi
+    return xs
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    fa = f(a)
+    for _ in range(200):
+        if b - a <= tol:
             break
-    return crossings
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            a = b = mid
+            break
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+# Grid values of a - b with |a - b| at most this share of a + b are evaluated
+# again with the scalar density: NumPy's exp and log may differ from the math
+# module's by a few ulps, which can flip the sign only that close to zero.
+_SIGN_MARGIN = 1e-9
 
 
 def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
-    """Zero crossings of a - b located by sign scan plus bisection."""
+    """Zero crossings of a - b located by sign scan plus bisection.
+
+    The scan evaluates a - b on the grid lo, lo+step, ... (clipped at hi); each
+    cell whose left value is zero or whose ends differ in sign is bisected
+    with the scalar density down to 1e-9 (times sigma for Gaussians).
+    """
     _check_pair(a, b)
     step = (a.shared.sigma / 100.0) if a.family is Family.GAUSSIAN else 0.05
     lo, hi = _continuous_range(a, 1e-12)
@@ -178,7 +188,18 @@ def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
     lo, hi = min(lo, lo2), max(hi, hi2)
     diff = lambda x: pmf_or_pdf(a, x) - pmf_or_pdf(b, x)
     scale = a.shared.sigma if a.family is Family.GAUSSIAN else 1.0
-    return _sign_scan_crossings(diff, lo, hi, step, 1e-9 * scale)
+    xs = _scan_grid(lo, hi, step)
+    da, db = pdf_array(a, xs), pdf_array(b, xs)
+    d = da - db
+    near_zero = ~(np.abs(d) > _SIGN_MARGIN * (da + db))
+    for i in np.flatnonzero(near_zero).tolist():
+        d[i] = diff(float(xs[i]))
+    neg = d < 0.0
+    cells = np.flatnonzero((d[:-1] == 0.0) | (neg[:-1] != neg[1:]))
+    return [
+        _bisect(diff, float(xs[i]), float(xs[i + 1]), 1e-9 * scale)
+        for i in cells.tolist()
+    ]
 
 
 def _tv_continuous(a: MixtureSpec, b: MixtureSpec, tol: float) -> TvInterval:

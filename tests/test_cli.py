@@ -121,6 +121,21 @@ def test_tv_exact_and_bound(tmp_path, capsys):
     assert value <= tv_hi + 1e-12
 
 
+def test_tv_exact_large_binomial(tmp_path, capsys):
+    # C(2000, x) overflows a float: the pmf must switch to log space
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    spec = "family=binomial-p\neps=1/4\nmin_index=0\nmax_index=4\nn=2000\nindices={}\n"
+    a.write_text(spec.format("1"))
+    b.write_text(spec.format("2"))
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    values = dict(line.split("=", 1) for line in out.splitlines())
+    assert 0.0 <= float(values["tv_lo"]) <= float(values["tv_hi"]) <= 1.0
+    assert float(values["tv_hi"]) > 0.99  # p = 1/4 vs 1/2 at n = 2000
+
+
 def test_tv_littlewood(capsys):
     rc = cli_dispatch([
         "tv", "littlewood", "--coeffs", "1,1,1,1", "--L", "2",

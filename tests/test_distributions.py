@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -18,7 +19,7 @@ from mixlearn import (
     pmf_or_pdf,
     uniform_spec,
 )
-from mixlearn.distributions import mgf_a2x
+from mixlearn.distributions import mgf_a2x, pdf_array
 
 
 def _poisson_spec(indices, max_index=6):
@@ -45,6 +46,35 @@ def test_binomial_pmf_matches_scipy_and_edge_cases():
         assert pmf_or_pdf(spec, x) == pytest.approx(ref, abs=1e-14)
     with pytest.raises(DomainError):
         pmf_or_pdf(spec, 11)
+
+
+def test_binomial_pmf_large_n_uses_log_space():
+    # C(2000, x) does not fit in a float for most x
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
+    spec = uniform_spec(grid, (1,), SharedParams(n=2000))
+    for x in (0, 300, 500, 700, 2000):
+        assert pmf_or_pdf(spec, x) == pytest.approx(
+            scipy_stats.binom.pmf(x, 2000, 0.25), rel=1e-9, abs=1e-300)
+    # where C(n, x) fits, the direct formula is kept bit for bit
+    small = uniform_spec(grid, (1,), SharedParams(n=40))
+    for x in range(41):
+        assert pmf_or_pdf(small, x) == math.comb(40, x) * 0.25**x * 0.75 ** (40 - x)
+
+
+def test_pdf_array_matches_scalar_density():
+    gaussian = uniform_spec(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), (0, 3),
+                            SharedParams(sigma=1.5))
+    chi2 = uniform_spec(ParameterGrid(Family.CHI_SQUARED, 1, 1, 6), (2, 5))
+    for spec, xs in ((gaussian, np.linspace(-9.0, 12.0, 301)),
+                     (chi2, np.linspace(0.0, 60.0, 301))):
+        got = pdf_array(spec, xs)
+        ref = np.array([pmf_or_pdf(spec, float(x)) for x in xs])
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+    chi1 = uniform_spec(ParameterGrid(Family.CHI_SQUARED, 1, 1, 6), (1, 5))
+    with pytest.raises(DomainError):
+        pdf_array(chi1, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        pdf_array(chi2, np.array([-1.0]))
 
 
 def test_geometric_pmf_and_degenerate_zero_component():

@@ -64,6 +64,13 @@ def test_spec_round_trip_preserves_exact_weights():
     assert again.grid.step == Fraction(1, 3)
 
 
+def test_spec_text_with_unsorted_indices_keeps_weights_paired():
+    text = "family=poisson\nindices=4,1\nweights=9/10,1/10\nmin_index=0\nmax_index=5\n"
+    spec = spec_from_text(text)
+    assert spec.indices == (1, 4)
+    assert spec.weights == (Fraction(1, 10), Fraction(9, 10))
+
+
 def test_spec_k_consistency_check():
     text = "family=poisson\nk=3\nindices=1,4\nmin_index=0\nmax_index=5\n"
     with pytest.raises(ParseError):

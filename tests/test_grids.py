@@ -67,6 +67,15 @@ def test_spec_sorts_indices_and_defaults_uniform_weights():
     assert spec.k == 2
 
 
+def test_spec_sorts_weights_with_their_indices():
+    grid = ParameterGrid(Family.POISSON, 1, 0, 5)
+    spec = MixtureSpec(grid=grid, indices=(4, 1),
+                       weights=(Fraction(9, 10), Fraction(1, 10)))
+    assert spec.indices == (1, 4)
+    assert spec.weights == (Fraction(1, 10), Fraction(9, 10))
+    assert spec.components()[1] == (Fraction(9, 10), Fraction(4))
+
+
 def test_spec_weights_must_sum_to_one_exactly():
     grid = ParameterGrid(Family.POISSON, 1, 0, 5)
     with pytest.raises(DomainError):

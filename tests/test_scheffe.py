@@ -8,6 +8,7 @@ from mixlearn import (
     CapExceededError,
     ContractError,
     Family,
+    MdeResult,
     ParameterGrid,
     SampleDataset,
     SharedParams,
@@ -21,6 +22,7 @@ from mixlearn import (
     set_probability,
     uniform_spec,
 )
+from mixlearn.scheffe import TIE_ULPS
 
 
 def _poisson(indices, max_index=5):
@@ -147,3 +149,78 @@ def test_gaussian_mde_oracle():
     cands = candidate_family(grid, 2, shared)
     result = mde_select(cands, truth=uniform_spec(grid, (0, 3), shared))
     assert cands[result.winner].indices == (0, 3)
+
+
+def _reference_mde(candidates, data, x_max=None):
+    """MDE from the per-set definitions, one set and one candidate at a time."""
+    sets = [
+        scheffe_set(candidates[i], candidates[j], x_max=x_max, provenance=(i, j))
+        for i in range(len(candidates)) for j in range(i + 1, len(candidates))
+    ]
+    probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
+    emp = np.array([float(empirical_measure(data, s)) for s in sets])
+    scores = np.abs(probs - emp[None, :]).max(axis=1)
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (scores[i], candidates[i].indices))
+    assert scores[order[0]] < scores[order[1]]  # no near ties on these inputs
+    return sets, probs, MdeResult(
+        winner=order[0], delta=float(scores[order[0]]),
+        scores=tuple(float(s) for s in scores), tie_broken=False, sets=tuple(sets),
+    )
+
+
+def test_table_mde_matches_per_set_reference_discrete():
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    sets, probs = precompute_mde(cands)
+    x_max = sets[0].x_max
+    # rate-30 component: most samples lie above x_max and fall in no set
+    data = sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 30), (2, 30)),
+                  5000, seed=3)
+    assert data.values.max() > x_max
+    ref_sets, ref_probs, ref = _reference_mde(cands, data, x_max)
+    assert sets == ref_sets
+    assert np.array_equal(probs, ref_probs)
+    assert mde_select(cands, data=data, precomputed=(sets, probs)) == ref
+    assert mde_select(cands, data=data) == ref
+
+
+def test_table_mde_matches_per_set_reference_continuous():
+    grid = ParameterGrid(Family.GAUSSIAN, 1, 0, 3)
+    shared = SharedParams(sigma=1.0)
+    cands = candidate_family(grid, 2, shared)
+    data = sample(uniform_spec(grid, (0, 3), shared), 20_000, seed=8)
+    sets, probs = precompute_mde(cands)
+    ref_sets, ref_probs, ref = _reference_mde(cands, data)
+    assert sets == ref_sets
+    assert np.array_equal(probs, ref_probs)
+    assert mde_select(cands, data=data, precomputed=(sets, probs)) == ref
+
+
+def test_table_oracle_matches_set_probability():
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    sets, probs = precompute_mde(cands)
+    truth = _poisson((2, 3))
+    result = mde_select(cands, truth=truth, precomputed=(sets, probs))
+    emp = np.array([set_probability(truth, s) for s in sets])
+    assert result.scores == tuple(np.abs(probs - emp[None, :]).max(axis=1).tolist())
+
+
+def test_mde_scores_one_ulp_apart_tie_by_index_order():
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    sets, _ = precompute_mde(cands)
+    # every sample lies above x_max, so every empirical set measure is 0 and
+    # each candidate's score is the largest entry of its probability row
+    data = SampleDataset(Family.POISSON, np.array([1000, 1000]))
+    probs = np.full((len(cands), len(sets)), 0.5)
+    probs[7] = 0.25                         # candidate (1, 4)
+    probs[2] = np.nextafter(0.25, 1.0)      # candidate (0, 3): one ulp more
+    result = mde_select(cands, data=data, precomputed=(sets, probs))
+    assert cands[result.winner].indices == (0, 3)
+    assert result.tie_broken
+    assert result.delta == result.scores[result.winner] == np.nextafter(0.25, 1.0)
+    # beyond the tolerance the lower score wins outright
+    probs[2] = 0.25 + 2 * TIE_ULPS * np.finfo(float).eps
+    result = mde_select(cands, data=data, precomputed=(sets, probs))
+    assert cands[result.winner].indices == (1, 4)
+    assert not result.tie_broken
+    assert result.delta == 0.25

@@ -88,6 +88,23 @@ def test_density_crossings_single_gaussians():
     assert crossings[0] == pytest.approx(1.5, abs=1e-6)
 
 
+def test_density_crossings_frozen_values():
+    # values of the point-by-point sign scan, frozen before it was vectorized
+    gaussian = ParameterGrid(Family.GAUSSIAN, 1, 0, 4)
+    shared = SharedParams(sigma=1.0)
+    chi2 = ParameterGrid(Family.CHI_SQUARED, 1, 1, 8)
+    assert density_crossings(
+        uniform_spec(gaussian, (0, 3), shared), uniform_spec(gaussian, (1, 2), shared)
+    ) == [0.2684801793134141, 2.73151982069371]
+    assert density_crossings(
+        uniform_spec(chi2, (2, 6)), uniform_spec(chi2, (3, 4))
+    ) == [0.7556041929870846, 5.262297459319225]
+    # the scan starts on a zero of a - b at x = 0
+    assert density_crossings(
+        uniform_spec(chi2, (3,)), uniform_spec(chi2, (5,))
+    ) == [0.049999999627470974, 3.0000000003725265]
+
+
 def test_discrete_truncation_certifies_tail():
     spec = _poisson((1, 4))
     r = discrete_truncation(spec, 1e-9)
