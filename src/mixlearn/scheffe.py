@@ -57,15 +57,23 @@ def scheffe_set(
 ) -> ScheffeSet:
     """The set {x : a(x) >= b(x)}.
 
-    For discrete families ``masses`` may give a's and b's masses at
-    0..x_max, already evaluated (two rows of a density table); the set is
-    then read off them instead of evaluating the masses point by point.
+    ``masses`` is internal to ``precompute_mde``: a's and b's masses at
+    0..x_max, already evaluated as two equal-length rows of its density
+    table, from which the discrete set is read instead of evaluating the
+    masses point by point.  It fixes x_max, so it excludes ``x_max``.
     """
     if a.family is not b.family or a.shared != b.shared:
         raise FamilyMismatchError("Scheffe sets need matching families")
+    if masses is not None:
+        mass_a, mass_b = masses
+        if a.family not in DISCRETE_FAMILIES:
+            raise ContractError("masses apply to discrete families only")
+        if x_max is not None:
+            raise ContractError("give x_max or masses, not both")
+        if len(mass_a) != len(mass_b) or len(mass_a) == 0:
+            raise ContractError("masses must be two equal-length, non-empty rows")
     if a.family in DISCRETE_FAMILIES:
         if masses is not None:
-            mass_a, mass_b = masses
             pts = tuple(np.flatnonzero(mass_a >= mass_b).tolist())
             return ScheffeSet(kind="discrete", points=pts, x_max=len(mass_a) - 1,
                               provenance=provenance)
@@ -127,7 +135,13 @@ def empirical_measure(data: SampleDataset, s: ScheffeSet) -> Fraction:
 
 def set_probability(spec: MixtureSpec, s: ScheffeSet) -> float:
     """Candidate probability of the set: the pmf summed in point order, or a
-    sum of CDF differences in interval order."""
+    sum of CDF differences in interval order.
+
+    The sum is a plain left-to-right float loop, not ``sum``, which uses
+    compensated summation from Python 3.12 on; so results do not depend on
+    the Python version, and ``precompute_mde``'s table sums match them bit
+    for bit.
+    """
     total = 0.0
     if s.kind == "discrete":
         for x in s.points:
@@ -207,7 +221,9 @@ def _table_set_probabilities(masses: np.ndarray, member: np.ndarray) -> np.ndarr
 
 def _discrete_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
     member = _membership(sets)
-    hist = np.bincount(values[values < member.shape[0]], minlength=member.shape[0])
+    # numpy 1.x bincount refuses uint64; the kept values fit in intp
+    kept = values[values < member.shape[0]].astype(np.intp, copy=False)
+    hist = np.bincount(kept, minlength=member.shape[0])
     return hist @ member
 
 
@@ -276,17 +292,12 @@ def mde_select(
     if (data is None) == (truth is None):
         raise ContractError("provide exactly one of data or truth")
     sets, probs = precomputed if precomputed is not None else precompute_mde(candidates)
-    discrete = sets[0].kind == "discrete"  # one family, so one kind
     if truth is not None:
-        if discrete:
-            member = _membership(sets)
-            masses = _mass_table([truth], member.shape[0] - 1)
-            emp = _table_set_probabilities(masses, member)[0]
-        else:
-            emp = np.array([set_probability(truth, s) for s in sets])
+        emp = np.array([set_probability(truth, s) for s in sets])
     else:
         if len(data) == 0:
             raise DomainError("empty dataset")
+        discrete = sets[0].kind == "discrete"  # one family, so one kind
         hits = (_discrete_hits if discrete else _interval_hits)(data.values, sets)
         emp = hits / len(data)
     scores = np.abs(probs - emp[None, :]).max(axis=1)

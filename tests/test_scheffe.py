@@ -196,13 +196,25 @@ def test_table_mde_matches_per_set_reference_continuous():
     assert mde_select(cands, data=data, precomputed=(sets, probs)) == ref
 
 
-def test_table_oracle_matches_set_probability():
+def test_table_mde_accepts_unsigned_discrete_data():
     cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
     sets, probs = precompute_mde(cands)
-    truth = _poisson((2, 3))
-    result = mde_select(cands, truth=truth, precomputed=(sets, probs))
-    emp = np.array([set_probability(truth, s) for s in sets])
-    assert result.scores == tuple(np.abs(probs - emp[None, :]).max(axis=1).tolist())
+    data = sample(_poisson((1, 4)), 2000, seed=5)
+    unsigned = SampleDataset(Family.POISSON, data.values.astype(np.uint64))
+    assert unsigned.values.dtype == np.uint64
+    assert (mde_select(cands, data=unsigned, precomputed=(sets, probs))
+            == mde_select(cands, data=data, precomputed=(sets, probs)))
+
+
+def test_scheffe_set_masses_contract():
+    a, b = _poisson((1, 2)), _poisson((3, 4))
+    masses = (np.array([0.5, 0.2, 0.1]), np.array([0.1, 0.2, 0.3]))
+    s = scheffe_set(a, b, masses=masses)
+    assert s.points == (0, 1) and s.x_max == 2
+    with pytest.raises(ContractError):
+        scheffe_set(a, b, x_max=2, masses=masses)
+    with pytest.raises(ContractError):
+        scheffe_set(a, b, masses=(masses[0], masses[1][:2]))
 
 
 def test_mde_scores_one_ulp_apart_tie_by_index_order():
