@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -102,6 +103,8 @@ def read_dataset(path: PathLike) -> SampleDataset:
                 v = float(line)
             except ValueError:
                 raise ParseError(f"invalid value {line!r}", line=lineno)
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {line!r}", line=lineno)
             if v != int(v) or "." in line or "e" in line or "E" in line:
                 all_integral = False
             values.append(v)

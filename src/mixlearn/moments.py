@@ -30,16 +30,28 @@ class EmpiricalMoments:
             raise DomainError("zeroth empirical moment must be 1")
 
 
+def _power_sums(values: np.ndarray, T: int) -> List[int]:
+    """Exact integer sums of values**ell for ell = 0..T.
+
+    One sort-based histogram (``np.unique``) buckets the data; each order's
+    sum is then taken over the distinct values with Python ints, so it is
+    exact whatever the magnitude.  ``np.bincount`` is avoided on purpose:
+    its size follows the largest value, not the number of distinct ones.
+    """
+    uniq, counts = np.unique(values, return_counts=True)
+    counts = [int(c) for c in counts]
+    powers = [1] * len(counts)
+    bases = [int(v) for v in uniq]
+    sums = [int(values.size)]
+    for _ in range(T):
+        powers = [pw * v for pw, v in zip(powers, bases)]
+        sums.append(sum(pw * c for pw, c in zip(powers, counts)))
+    return sums
+
+
 def _power_sum(values: np.ndarray, ell: int) -> int:
     """Sum of values**ell as an exact integer."""
-    if ell == 0:
-        return int(values.size)
-    vmax = int(values.max(initial=0))
-    if vmax**ell * values.size < 2**62:
-        return int(np.sum(values.astype(np.int64) ** ell))
-    # big-integer fallback: bucket by value, exact regardless of magnitude
-    uniq, counts = np.unique(values, return_counts=True)
-    return sum(int(v) ** ell * int(c) for v, c in zip(uniq, counts))
+    return _power_sums(values, ell)[ell]
 
 
 def estimate_moments(data: SampleDataset, T: int) -> EmpiricalMoments:
@@ -51,7 +63,7 @@ def estimate_moments(data: SampleDataset, T: int) -> EmpiricalMoments:
     if T < 0:
         raise ContractError("T must be nonnegative")
     t = len(data)
-    vals = tuple(Fraction(_power_sum(data.values, ell), t) for ell in range(T + 1))
+    vals = tuple(Fraction(s, t) for s in _power_sums(data.values, T))
     return EmpiricalMoments(T=T, values=vals, t=t)
 
 
@@ -62,7 +74,10 @@ def estimate_pmf(data: SampleDataset, T: int) -> List[Fraction]:
     if data.values.dtype.kind not in "iu":
         raise DomainError("pmf estimation needs an integer dataset")
     t = len(data)
-    counts = np.bincount(data.values, minlength=T + 1)
+    # only values <= T are counted: the histogram's size follows T, not the
+    # largest value in the data
+    vals = data.values
+    counts = np.bincount(vals[vals <= T].astype(np.intp, copy=False), minlength=T + 1)
     return [Fraction(int(counts[ell]), t) for ell in range(T + 1)]
 
 

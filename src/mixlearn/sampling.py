@@ -6,7 +6,8 @@ fixed transformation of those uniforms, so identical (seed, stream, count)
 always yields bit-identical datasets:
 
 * component choice: inverse CDF on the cumulative weights
-* binomial(n, p): n Bernoulli draws (uniform < p), summed
+* binomial(n, p): n Bernoulli draws (uniform < p), summed; the count x n
+  uniform matrix is drawn in row blocks, consumed in row order
 * poisson: inverse CDF against a precomputed pmf table
 * geometric(p): floor(log(1-u) / log(1-p))
 * gaussian: Box-Muller cosine branch, one normal per uniform pair
@@ -27,6 +28,8 @@ from .grids import DISCRETE_FAMILIES, Family, MixtureSpec
 
 _BINOMIAL_TRIAL_CAP = 10_000
 _POISSON_RATE_CAP = 10_000.0
+#: uniforms held at once by the binomial sampler (2 MB of float64 scratch)
+_BINOMIAL_BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,21 @@ def _geometric_inverse(rng: np.random.Generator, p: float, count: int) -> np.nda
     return np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
 
 
+def _binomial_rows(rng: np.random.Generator, n: int, p: float, count: int) -> np.ndarray:
+    """Row sums of a count x n Bernoulli(p) matrix, drawn in row blocks.
+
+    The uniform stream is consumed row by row exactly as one ``count x n``
+    matrix would consume it, so the result does not depend on the block
+    size; scratch memory is bounded by ``_BINOMIAL_BLOCK_ELEMENTS``.
+    """
+    out = np.empty(count, dtype=np.int64)
+    rows = max(1, _BINOMIAL_BLOCK_ELEMENTS // n)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        out[start:stop] = np.count_nonzero(rng.random((stop - start, n)) < p, axis=1)
+    return out
+
+
 def _component_draws(
     rng: np.random.Generator, family: Family, shared, value, count: int
 ) -> np.ndarray:
@@ -97,8 +115,7 @@ def _component_draws(
         n = shared.n
         if n > _BINOMIAL_TRIAL_CAP:
             raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
-        p = float(value)
-        return (rng.random((count, n)) < p).sum(axis=1).astype(np.int64)
+        return _binomial_rows(rng, n, float(value), count)
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         return _geometric_inverse(rng, p, count)
@@ -127,12 +144,17 @@ def sample(
     rng = derived_rng(seed, stream)
     cumw = np.cumsum([float(w) for w in spec.weights])
     cumw[-1] = 1.0
-    choice = np.searchsorted(cumw, rng.random(count), side="right")
+    u = rng.random(count)
+    # inverse CDF: the component is the number of cumulative weights <= u
+    # (never the last, 1.0); k - 1 comparison passes cost less than a
+    # binary search per value at a mixture's small k
+    choice = np.zeros(count, dtype=np.intp)
+    for w in cumw[:-1]:
+        choice += u >= w
     dtype = np.int64 if spec.family in DISCRETE_FAMILIES else np.float64
     out = np.zeros(count, dtype=dtype)
     for c, value in enumerate(spec.values()):
-        mask = choice == c
-        m = int(mask.sum())
-        if m:
-            out[mask] = _component_draws(rng, spec.family, spec.shared, value, m)
+        rows = np.flatnonzero(choice == c)
+        if rows.size:
+            out[rows] = _component_draws(rng, spec.family, spec.shared, value, rows.size)
     return SampleDataset(family=spec.family, values=out, seed=seed)

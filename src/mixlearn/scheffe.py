@@ -48,6 +48,13 @@ class ScheffeSet:
                 prev = hi
 
 
+def _set_x_max(spec: MixtureSpec) -> int:
+    """Largest point a discrete Scheffe set covers: the truncation point,
+    capped at the binomial's trial count, where its support ends."""
+    r = discrete_truncation(spec, 1e-9)
+    return min(r, spec.shared.n) if spec.family is Family.BINOMIAL_P else r
+
+
 def scheffe_set(
     a: MixtureSpec,
     b: MixtureSpec,
@@ -78,7 +85,7 @@ def scheffe_set(
             return ScheffeSet(kind="discrete", points=pts, x_max=len(mass_a) - 1,
                               provenance=provenance)
         if x_max is None:
-            x_max = max(discrete_truncation(a, 1e-9), discrete_truncation(b, 1e-9))
+            x_max = max(_set_x_max(a), _set_x_max(b))
         pts = tuple(
             x for x in range(x_max + 1) if pmf_or_pdf(a, x) >= pmf_or_pdf(b, x)
         )
@@ -98,7 +105,8 @@ def scheffe_set(
         if math.isinf(lo) and math.isinf(hi):
             mid = crossings[0]
         elif math.isinf(lo):
-            mid = hi - 1.0
+            # chi-squared densities live on [0, inf): probe inside the support
+            mid = 0.5 * hi if a.family is Family.CHI_SQUARED else hi - 1.0
         elif math.isinf(hi):
             mid = lo + 1.0
         else:
@@ -262,7 +270,7 @@ def precompute_mde(
                 for i, j in pairs]
         probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
         return sets, probs
-    x_max = max(discrete_truncation(c, 1e-9) for c in candidates)
+    x_max = max(_set_x_max(c) for c in candidates)
     masses = _mass_table(candidates, x_max)
     sets = [
         scheffe_set(candidates[i], candidates[j], provenance=(i, j),

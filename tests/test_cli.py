@@ -201,3 +201,15 @@ def test_domain_error_exit_code(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert cli_dispatch(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_non_finite_dataset_value_exit_code(tmp_path, capsys, bad):
+    data = tmp_path / "data.txt"
+    data.write_text(f"# family=poisson\n1\n{bad}\n2\n")
+    rc = cli_dispatch([
+        "learn", "--method", "mde", "--family", "poisson", "--k", "2",
+        "--data", str(data), "--max-index", "5",
+    ])
+    assert rc == 1
+    assert "line 3" in capsys.readouterr().err

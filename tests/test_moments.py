@@ -41,6 +41,14 @@ def test_power_sum_big_integer_fallback_matches_int64_path():
     assert _power_sum(values, 12) == direct
 
 
+def test_estimate_moments_exact_above_int32():
+    # v**12 overflows int64 by far: every order must still be an exact sum
+    values = [2**31 + 5, 2**33, 2**31 + 5, 3 * 10**9, 0, 7]
+    m = estimate_moments(_data(values), 12)
+    for ell in range(13):
+        assert m.values[ell] == Fraction(sum(v**ell for v in values), len(values))
+
+
 def test_estimate_moments_rejects_float_data():
     data = SampleDataset(Family.GAUSSIAN, np.array([0.5, 1.5]))
     with pytest.raises(DomainError):
@@ -51,6 +59,12 @@ def test_estimate_pmf_exact():
     data = _data([0, 0, 1, 3])
     probs = estimate_pmf(data, 3)
     assert probs == [Fraction(1, 2), Fraction(1, 4), 0, Fraction(1, 4)]
+
+
+def test_estimate_pmf_ignores_huge_values():
+    # the histogram covers 0..T only, so a value of 10**15 costs no memory
+    data = _data([0, 2, 10**15, 2])
+    assert estimate_pmf(data, 2) == [Fraction(1, 4), 0, Fraction(1, 2)]
 
 
 @given(st.integers(min_value=-50, max_value=50),

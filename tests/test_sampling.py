@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from mixlearn import (
     DomainError,
     Family,
+    MixtureSpec,
     ParameterGrid,
     SampleDataset,
     SharedParams,
@@ -14,6 +16,12 @@ from mixlearn import (
     pmf_or_pdf,
     sample,
     uniform_spec,
+)
+from mixlearn.sampling import (
+    _BINOMIAL_BLOCK_ELEMENTS,
+    _binomial_rows,
+    _component_draws,
+    derived_rng,
 )
 
 
@@ -124,3 +132,57 @@ def test_geometric_p_zero_component_rejected_in_sampling():
     spec = _spec(Family.GEOMETRIC_P, (0, 2))
     with pytest.raises(DomainError):
         sample(spec, 10, seed=1)
+
+
+@pytest.mark.parametrize("n, count", [
+    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000 - 1),
+    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000),
+    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000 + 1),
+    (7, 3 * (_BINOMIAL_BLOCK_ELEMENTS // 7) + 5),
+    (10_000, 5),
+])
+def test_chunked_binomial_matches_one_matrix(n, count):
+    # row blocks consume the uniform stream exactly as one count x n matrix
+    rng, ref_rng = derived_rng(3, n), derived_rng(3, n)
+    got = _binomial_rows(rng, n, 0.3, count)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (ref_rng.random((count, n)) < 0.3).sum(axis=1))
+    assert rng.random() == ref_rng.random()
+
+
+def test_binomial_sampler_memory_is_bounded():
+    spec = _spec(Family.BINOMIAL_P, (1, 2), n=200)
+    sample(spec, 10, seed=1)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        sample(spec, 2 * 10**5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2e5 x 200 uniform matrix would hold 320 MB
+    assert peak < 16 * 2**20
+
+
+def _searchsorted_reference_sample(spec, count, seed, stream):
+    # reference: a binary search per value picks the component, and boolean
+    # masks scatter each component's draws
+    rng = derived_rng(seed, stream)
+    cumw = np.cumsum([float(w) for w in spec.weights])
+    cumw[-1] = 1.0
+    choice = np.searchsorted(cumw, rng.random(count), side="right")
+    out = np.zeros(count, dtype=np.int64)
+    for c, value in enumerate(spec.values()):
+        mask = choice == c
+        if mask.any():
+            out[mask] = _component_draws(rng, spec.family, spec.shared, value, int(mask.sum()))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 8), (0, 2, 5, 8),
+                (Fraction(1, 10), Fraction(2, 5), Fraction(1, 4), Fraction(1, 4))),
+    _spec(Family.BINOMIAL_P, (0, 1, 2), n=50),
+])
+def test_sample_matches_searchsorted_reference(spec):
+    got = sample(spec, 30_000, seed=8, stream=3).values
+    assert np.array_equal(got, _searchsorted_reference_sample(spec, 30_000, 8, 3))

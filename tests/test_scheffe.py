@@ -236,3 +236,33 @@ def test_mde_scores_one_ulp_apart_tie_by_index_order():
     assert cands[result.winner].indices == (1, 4)
     assert not result.tie_broken
     assert result.delta == 0.25
+
+
+def test_chi_squared_precompute_probes_inside_the_support():
+    grid = ParameterGrid(Family.CHI_SQUARED, 1, 2, 6)
+    candidates = candidate_family(grid, 2)
+    sets, probs = precompute_mde(candidates)
+    assert len(sets) == 45 and probs.shape == (10, 45)
+    # some first crossing lies below 1, where the old probe c1 - 1 left [0, inf)
+    assert min(s.intervals[0][1] for s in sets if s.intervals) < 1.0
+    for s in sets:
+        a, b = (candidates[i] for i in s.provenance)
+        crossings = sorted({e for iv in s.intervals for e in iv if math.isfinite(e)})
+        edges = [0.0] + crossings + [crossings[-1] + 2.0 if crossings else 1.0]
+        for lo, hi in zip(edges, edges[1:]):
+            mid = 0.5 * (lo + hi)
+            inside = any(l <= mid <= h for l, h in s.intervals)
+            assert inside == (pmf_or_pdf(a, mid) >= pmf_or_pdf(b, mid))
+
+
+def test_binomial_scheffe_sets_stop_at_trial_count():
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
+    candidates = candidate_family(grid, 2, SharedParams(n=10))
+    sets, probs = precompute_mde(candidates)
+    assert all(s.x_max == 10 for s in sets)
+    pair = scheffe_set(candidates[0], candidates[1], provenance=(0, 1))
+    assert pair == sets[0]
+    assert np.array_equal(probs[:, 0], [set_probability(c, pair) for c in candidates])
+    spec = uniform_spec(grid, (1, 3), SharedParams(n=10))
+    result = mde_select(candidates, data=sample(spec, 20_000, seed=4), precomputed=(sets, probs))
+    assert candidates[result.winner].indices == (1, 3)
