@@ -174,7 +174,10 @@ def _cmd_learn(args) -> int:
     grid = _grid_from_args(args)
     truth = None
     if args.truth:
-        truth = tuple(int(s) for s in args.truth.split(","))
+        try:
+            truth = tuple(int(s) for s in args.truth.split(","))
+        except ValueError:
+            raise UsageError(f"invalid --truth list {args.truth!r}")
     if args.method == "moments" and args.family is Family.BINOMIAL_P:
         if args.n is None:
             raise UsageError("binomial-p moments learning needs --n")

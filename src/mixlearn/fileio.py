@@ -12,7 +12,7 @@ import io
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,8 +80,9 @@ def read_dataset(path: PathLike) -> SampleDataset:
     family: Optional[Family] = None
     seed: Optional[int] = None
     spec_lines: List[str] = []
-    values: List[float] = []
+    values: List[Union[float, int]] = []
     all_integral = True
+    wide_line: Optional[int] = None  # first integral value outside int64
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -107,10 +108,17 @@ def read_dataset(path: PathLike) -> SampleDataset:
                 raise ParseError(f"non-finite value {line!r}", line=lineno)
             if v != int(v) or "." in line or "e" in line or "E" in line:
                 all_integral = False
+            elif not -(2**53) < v < 2**53:
+                # float() rounds integers of this size; keep the exact value
+                v = int(line)
+                if wide_line is None and not -(2**63) <= v < 2**63:
+                    wide_line = lineno
             values.append(v)
     if family is None:
         raise ParseError("dataset is missing the '# family=…' header")
     if family in DISCRETE_FAMILIES and all_integral:
+        if wide_line is not None:
+            raise ParseError("value does not fit a 64-bit integer", line=wide_line)
         arr = np.array(values, dtype=np.int64)
     else:
         arr = np.array(values, dtype=np.float64)
@@ -142,6 +150,28 @@ def _require(kv: Dict[str, str], key: str) -> str:
     return kv[key]
 
 
+def _number(kv: Dict[str, str], key: str, kind=int):
+    """``kv[key]`` parsed by ``kind`` (int or float); a ParseError naming
+    the key if it is missing or malformed."""
+    text = _require(kv, key)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"invalid {kind.__name__} for {key!r}: {text!r}")
+
+
+def _index_list(kv: Dict[str, str], key: str) -> Tuple[int, ...]:
+    """Comma-separated integers; at least one."""
+    text = _require(kv, key)
+    try:
+        out = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ParseError(f"invalid integer list for {key!r}: {text!r}")
+    if not out:
+        raise ParseError(f"{key!r} lists no indices")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # mixture specs
 
@@ -169,20 +199,20 @@ def spec_from_text(text: str) -> MixtureSpec:
     kv = parse_key_values(text)
     family = _parse_family(_require(kv, "family"))
     eps = parse_rational(kv.get("eps", "1"))
-    indices = tuple(int(s) for s in _require(kv, "indices").split(",") if s.strip())
-    min_index = int(kv["min_index"]) if "min_index" in kv else min(indices)
-    max_index = int(kv["max_index"]) if "max_index" in kv else max(indices)
+    indices = _index_list(kv, "indices")
+    min_index = _number(kv, "min_index") if "min_index" in kv else min(indices)
+    max_index = _number(kv, "max_index") if "max_index" in kv else max(indices)
     grid = ParameterGrid(family, eps, min_index, max_index)
     weights = ()
     if "weights" in kv and kv["weights"]:
         weights = tuple(parse_rational(s) for s in kv["weights"].split(","))
     shared = SharedParams(
-        n=int(kv["n"]) if "n" in kv else None,
-        sigma=float(kv["sigma"]) if "sigma" in kv else None,
+        n=_number(kv, "n") if "n" in kv else None,
+        sigma=_number(kv, "sigma", float) if "sigma" in kv else None,
         p=parse_rational(kv["p"]) if "p" in kv else None,
     )
     spec = MixtureSpec(grid=grid, indices=indices, weights=weights, shared=shared)
-    if "k" in kv and int(kv["k"]) != spec.k:
+    if "k" in kv and _number(kv, "k") != spec.k:
         raise ParseError(f"k={kv['k']} disagrees with {spec.k} indices")
     return spec
 
@@ -206,15 +236,15 @@ def config_from_text(text: str) -> ExperimentConfig:
         family=family,
         method=_require(kv, "method"),
         eps=parse_rational(kv.get("eps", "1")),
-        min_index=int(_require(kv, "min_index")),
-        max_index=int(_require(kv, "max_index")),
-        k=int(_require(kv, "k")),
-        truth=tuple(int(s) for s in _require(kv, "truth").split(",") if s.strip()),
-        samples=int(_require(kv, "samples")),
-        trials=int(_require(kv, "trials")),
-        seed=int(_require(kv, "seed")),
-        n=int(kv["n"]) if "n" in kv else None,
-        sigma=float(kv["sigma"]) if "sigma" in kv else None,
+        min_index=_number(kv, "min_index"),
+        max_index=_number(kv, "max_index"),
+        k=_number(kv, "k"),
+        truth=_index_list(kv, "truth"),
+        samples=_number(kv, "samples"),
+        trials=_number(kv, "trials"),
+        seed=_number(kv, "seed"),
+        n=_number(kv, "n") if "n" in kv else None,
+        sigma=_number(kv, "sigma", float) if "sigma" in kv else None,
         p=parse_rational(kv["p"]) if "p" in kv else None,
         oracle=kv.get("oracle", "false").lower() in ("1", "true", "yes"),
     )

@@ -8,6 +8,7 @@ algebra never sees floating-point error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -131,8 +132,8 @@ class SharedParams:
             object.__setattr__(self, "p", Fraction(self.p))
             if not 0 < self.p < 1:
                 raise DomainError("shared p must lie in (0,1)")
-        if self.sigma is not None and self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
         if self.n is not None and self.n < 1:
             raise DomainError("trial count must be at least 1")
 

@@ -23,7 +23,6 @@ from .moments import (
     estimate_moments,
     estimate_pmf,
     moment_lattice_spacing,
-    pmf_lattice_spacing,
     round_to_lattice,
 )
 from .powersums import moments_to_power_sums, pmf_to_power_sums, reconstruct_multiset
@@ -69,6 +68,61 @@ def _finish(
     return LearnResult(recovered, method, diagnostics, match)
 
 
+def _learn_algebraic(
+    data: Optional[SampleDataset],
+    grid: ParameterGrid,
+    shared: SharedParams,
+    k: int,
+    T: int,
+    observable: str,
+    oracle_spec: Optional[MixtureSpec],
+    truth: Optional[Sequence[int]],
+) -> LearnResult:
+    """Estimate -> lattice-round -> triangular solve -> Newton reconstruction.
+
+    The observables are the raw moments M_0..M_T (``observable="moments"``)
+    or the pmf values P_0..P_T (``"pmf"``).  Observable ell is a polynomial
+    in the grid index of degree ell (moments) or ell + 1 (pmf values), so
+    distinct mixtures put it on a lattice of spacing step^degree / k.
+    M_0 = 1 is exact and is not rounded.
+    """
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+    pmf = observable == "pmf"
+    sampled = oracle_spec is None
+    if not sampled:
+        exact = mixture_pmf_exact if pmf else mixture_moment_exact
+        values = [exact(oracle_spec, ell) for ell in range(T + 1)]
+    elif data is None:
+        raise ContractError("provide data or an oracle spec")
+    elif pmf:
+        values = estimate_pmf(data, T)
+    else:
+        values = list(estimate_moments(data, T).values)
+    max_residual = 0.0
+    if grid.inverse_step_integral:
+        for ell in range(0 if pmf else 1, T + 1):
+            spacing = moment_lattice_spacing(grid.step, k, ell + 1 if pmf else ell)
+            r = round_to_lattice(values[ell], spacing)
+            values[ell] = r.rounded
+            max_residual = max(max_residual, float(r.residual))
+    truncate = k if sampled else None
+    if pmf:
+        psums, residuals = pmf_to_power_sums(values, grid, k, truncate_after=truncate)
+    else:
+        psums, residuals = moments_to_power_sums(
+            values, grid.family, shared, grid, k, truncate_after=truncate
+        )
+    recovered = reconstruct_multiset(psums, grid.indices(), verify_orders=truncate)
+    diag = {
+        "max_lattice_residual": max_residual,
+        "max_solve_residual": max(float(r) for r in residuals),
+        "samples": float(len(data) if sampled else 0),
+        "T": float(T),
+    }
+    return _finish(recovered, observable, diag, truth)
+
+
 def learn_binomial_moments(
     data: Optional[SampleDataset],
     n: int,
@@ -80,44 +134,15 @@ def learn_binomial_moments(
 ) -> LearnResult:
     """Moment pipeline for Bin(n, p) mixtures on the p-grid of step eps."""
     eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("grid step must be positive")
     grid = ParameterGrid(Family.BINOMIAL_P, eps, 0, int(1 / eps))
     shared = SharedParams(n=n)
     if T is None:
         T = moments_order_binomial(eps, k)
     if n < T:
         raise DomainError(f"need n >= T = {T} trials, got {n}")
-    if oracle_spec is not None:
-        moments = [mixture_moment_exact(oracle_spec, ell) for ell in range(T + 1)]
-        samples_used = 0
-    else:
-        if data is None:
-            raise ContractError("provide data or an oracle spec")
-        moments = list(estimate_moments(data, T).values)
-        samples_used = len(data)
-    max_residual = 0.0
-    if grid.inverse_step_integral:
-        rounded = [moments[0]]
-        for ell in range(1, T + 1):
-            r = round_to_lattice(moments[ell], moment_lattice_spacing(eps, k, ell))
-            rounded.append(r.rounded)
-            max_residual = max(max_residual, float(r.residual))
-        moments = rounded
-    sampled = oracle_spec is None
-    psums, residuals = moments_to_power_sums(
-        moments, Family.BINOMIAL_P, shared, grid, k,
-        truncate_after=k if sampled else None,
-    )
-    recovered = reconstruct_multiset(
-        psums, range(grid.min_index, grid.max_index + 1),
-        verify_orders=k if sampled else None,
-    )
-    diag = {
-        "max_lattice_residual": max_residual,
-        "max_solve_residual": max(float(r) for r in residuals),
-        "samples": float(samples_used),
-        "T": float(T),
-    }
-    return _finish(recovered, "moments", diag, truth)
+    return _learn_algebraic(data, grid, shared, k, T, "moments", oracle_spec, truth)
 
 
 def learn_geometric(
@@ -130,83 +155,19 @@ def learn_geometric(
     T: Optional[int] = None,
 ) -> LearnResult:
     """Geometric mixtures: ``moments`` on the u-grid, ``pmf`` on the p-grid."""
-    eps = grid.step
     if variant == "moments":
         if grid.family is not Family.GEOMETRIC_U:
             raise ContractError("moments variant needs the u-grid")
         if T is None:
             T = moments_order_geometric_u(grid.max_index, k)
-        if oracle_spec is not None:
-            moments = [mixture_moment_exact(oracle_spec, ell) for ell in range(T + 1)]
-            samples_used = 0
-        else:
-            if data is None:
-                raise ContractError("provide data or an oracle spec")
-            moments = list(estimate_moments(data, T).values)
-            samples_used = len(data)
-        max_residual = 0.0
-        if grid.inverse_step_integral:
-            rounded = [moments[0]]
-            for ell in range(1, T + 1):
-                r = round_to_lattice(moments[ell], moment_lattice_spacing(eps, k, ell))
-                rounded.append(r.rounded)
-                max_residual = max(max_residual, float(r.residual))
-            moments = rounded
-        sampled = oracle_spec is None
-        psums, residuals = moments_to_power_sums(
-            moments, Family.GEOMETRIC_U, SharedParams(), grid, k,
-            truncate_after=k if sampled else None,
-        )
-        recovered = reconstruct_multiset(
-            psums, range(grid.min_index, grid.max_index + 1),
-            verify_orders=k if sampled else None,
-        )
-        diag = {
-            "max_lattice_residual": max_residual,
-            "max_solve_residual": max(float(r) for r in residuals),
-            "samples": float(samples_used),
-            "T": float(T),
-        }
-        return _finish(recovered, "moments", diag, truth)
-    if variant == "pmf":
+    elif variant == "pmf":
         if grid.family is not Family.GEOMETRIC_P:
             raise ContractError("pmf variant needs the p-grid")
         if T is None:
-            T = max(
-                k, _ceil_sqrt_ratio(16 * eps.denominator, eps.numerator)
-            )
-        if oracle_spec is not None:
-            probs = [mixture_pmf_exact(oracle_spec, x) for x in range(T + 1)]
-            samples_used = 0
-        else:
-            if data is None:
-                raise ContractError("provide data or an oracle spec")
-            probs = estimate_pmf(data, T)
-            samples_used = len(data)
-        max_residual = 0.0
-        if grid.inverse_step_integral:
-            rounded = []
-            for ell, p in enumerate(probs):
-                r = round_to_lattice(p, pmf_lattice_spacing(eps, k, ell))
-                rounded.append(r.rounded)
-                max_residual = max(max_residual, float(r.residual))
-            probs = rounded
-        sampled = oracle_spec is None
-        psums, residuals = pmf_to_power_sums(
-            probs, grid, k, truncate_after=k if sampled else None
-        )
-        recovered = reconstruct_multiset(
-            psums, range(grid.min_index, grid.max_index + 1),
-            verify_orders=k if sampled else None,
-        )
-        diag = {
-            "max_lattice_residual": max_residual,
-            "max_solve_residual": max(float(r) for r in residuals),
-            "samples": float(samples_used),
-            "T": float(T),
-        }
-        return _finish(recovered, "pmf", diag, truth)
-    raise ContractError(f"unknown geometric variant {variant!r}")
+            T = moments_order_binomial(grid.step, k)
+    else:
+        raise ContractError(f"unknown geometric variant {variant!r}")
+    return _learn_algebraic(data, grid, SharedParams(), k, T, variant, oracle_spec, truth)
 
 
 def gaussian_grid_from_data(

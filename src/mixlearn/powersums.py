@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -60,17 +60,51 @@ def _round_integer(x: Fraction, what: str) -> Tuple[int, Fraction]:
     return int(rounding.rounded), rounding.residual
 
 
-def _index_moment_coeffs(
-    family: Family, shared: SharedParams, grid: ParameterGrid, ell: int
-) -> List[Fraction]:
-    """Coefficients d_{ell,j} with k * M_ell = sum_j d_{ell,j} m_j, obtained
-    by rewriting the family moment polynomial in the grid index alpha."""
-    poly = moment_polynomial(family, shared, ell)
-    if family is Family.BINOMIAL_P:
-        return poly.compose_affine(0, grid.step)  # p = alpha * eps
-    if family is Family.GEOMETRIC_U:
-        return poly.compose_affine(1, grid.step)  # u = 1 + alpha * eps
-    raise ContractError(f"no moment route for family {family.value}")
+def _triangular_solve(
+    observables: Sequence[Fraction],
+    first: int,
+    family: Family,
+    shared: SharedParams,
+    grid: ParameterGrid,
+    k: int,
+    truncate_after: Optional[int],
+) -> Tuple[PowerSumVector, List[Fraction]]:
+    """Solve observables first..T for consecutive power sums m_1, m_2, ...
+
+    Observable ell is ``moment_polynomial(family, shared, ell)`` at the grid
+    value 1 + alpha*step (u-grid) or alpha*step (p-grids).  Rewritten in the
+    index alpha, k times it equals sum_j d_j m_j, and its degree is the
+    order of the power sum it determines, so the system is triangular.
+    Each solved m_j is rounded to the nearest integer (tolerance 1/4), so
+    empirical observables with small enough error are accepted too.  With
+    ``truncate_after`` set, an inconsistency at an order beyond it stops the
+    solve there instead of raising: orders above k are redundant for
+    reconstruction, and on sampled data their noise grows with the order.
+    """
+    offset = 1 if family is Family.GEOMETRIC_U else 0
+    m: List[int] = [k]
+    residuals: List[Fraction] = [Fraction(0)]
+    for ell in range(first, len(observables)):
+        d = moment_polynomial(family, shared, ell).compose_affine(offset, grid.step)
+        order = len(d) - 1
+        acc = k * observables[ell] - d[0] * k  # d_0 multiplies m_0 = k
+        for j in range(1, order):
+            acc -= d[j] * m[j]
+        raw = acc / d[order]
+        try:
+            val, res = _round_integer(raw, f"power sum m_{order}")
+            if val < 0 or val > k * grid.max_index**order:
+                raise MomentInconsistencyError(
+                    f"power sum m_{order} = {val} outside "
+                    f"[0, k * max_index^{order}]"
+                )
+        except MomentInconsistencyError:
+            if truncate_after is not None and order > truncate_after:
+                break
+            raise
+        m.append(val)
+        residuals.append(res)
+    return PowerSumVector(tuple(m)), residuals
 
 
 def moments_to_power_sums(
@@ -81,17 +115,13 @@ def moments_to_power_sums(
     k: int,
     truncate_after: Optional[int] = None,
 ) -> Tuple[PowerSumVector, List[Fraction]]:
-    """Sequential triangular solve for m_0..m_T; returns residuals too.
-
-    Each solved m_ell is rounded to the nearest integer (tolerance 1/4), so
-    the solver also accepts empirical moments whose error is small enough.
-    With ``truncate_after`` set, an inconsistency at an order beyond it stops
-    the solve there instead of raising: orders above k are redundant for
-    reconstruction, and on sampled data their noise grows with the order.
-    """
+    """Raw moments M_0..M_T (M_ell of degree ell in the index) to power
+    sums m_0..m_T, with the solve residual of each order."""
     moments = [Fraction(m) for m in moments]
     if moments[0] != 1:
         raise MomentInconsistencyError("M_0 must equal 1")
+    if family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U):
+        raise ContractError(f"no moment route for family {family.value}")
     T = len(moments) - 1
     if family is Family.BINOMIAL_P:
         if shared.n is None:
@@ -100,28 +130,7 @@ def moments_to_power_sums(
             raise DegeneracyError(
                 f"trial count n={shared.n} below moment order T={T}"
             )
-    m: List[int] = [k]
-    residuals: List[Fraction] = [Fraction(0)]
-    max_val = grid.max_index
-    for ell in range(1, T + 1):
-        d = _index_moment_coeffs(family, shared, grid, ell)
-        acc = k * moments[ell] - d[0] * k  # d_0 multiplies m_0 = k
-        for j in range(1, ell):
-            acc -= d[j] * m[j]
-        raw = acc / d[ell]
-        try:
-            val, res = _round_integer(raw, f"power sum m_{ell}")
-            if val < 0 or val > k * max_val**ell:
-                raise MomentInconsistencyError(
-                    f"power sum m_{ell} = {val} outside [0, k * max_index^{ell}]"
-                )
-        except MomentInconsistencyError:
-            if truncate_after is not None and ell > truncate_after:
-                break
-            raise
-        m.append(val)
-        residuals.append(res)
-    return PowerSumVector(tuple(m)), residuals
+    return _triangular_solve(moments, 1, family, shared, grid, k, truncate_after)
 
 
 def pmf_to_power_sums(
@@ -130,32 +139,14 @@ def pmf_to_power_sums(
     k: int,
     truncate_after: Optional[int] = None,
 ) -> Tuple[PowerSumVector, List[Fraction]]:
-    """Geometric p-grid: solve k * P_ell = sum_j C(ell,j) (-1)^j eps^(j+1)
-    m_(j+1) for m_1..m_(T+1); m_0 = k by convention."""
+    """Geometric p-grid: pmf values P_0..P_T (P_ell of degree ell + 1 in the
+    index) to power sums m_0..m_(T+1); m_0 = k by convention."""
     if grid.family is not Family.GEOMETRIC_P:
         raise ContractError("pmf route applies to the geometric p-grid")
     probs = [Fraction(p) for p in probs]
-    eps = grid.step
-    m: List[int] = [k]
-    residuals: List[Fraction] = [Fraction(0)]
-    for ell, p_ell in enumerate(probs):
-        acc = k * p_ell
-        for j in range(ell):
-            acc -= comb(ell, j) * (-1) ** j * eps ** (j + 1) * m[j + 1]
-        raw = acc / ((-1) ** ell * eps ** (ell + 1))
-        try:
-            val, res = _round_integer(raw, f"power sum m_{ell + 1}")
-            if val < 0 or val > k * grid.max_index ** (ell + 1):
-                raise MomentInconsistencyError(
-                    f"power sum m_{ell + 1} = {val} out of range"
-                )
-        except MomentInconsistencyError:
-            if truncate_after is not None and ell + 1 > truncate_after:
-                break
-            raise
-        m.append(val)
-        residuals.append(res)
-    return PowerSumVector(tuple(m)), residuals
+    return _triangular_solve(
+        probs, 0, Family.GEOMETRIC_P, SharedParams(), grid, k, truncate_after
+    )
 
 
 def newton_to_elementary(m: PowerSumVector) -> List[int]:

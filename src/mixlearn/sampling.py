@@ -59,6 +59,8 @@ class SampleDataset:
 
 def derived_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """The documented (seed, stream) -> generator derivation rule."""
+    if seed < 0 or stream < 0:
+        raise DomainError("seed and stream must be nonnegative")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 

@@ -171,6 +171,8 @@ def candidate_family(
 ) -> List[MixtureSpec]:
     """All uniform k-subset (or k-multiset) mixtures on the grid, in
     lexicographic index order."""
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
     size = grid.size
     count = math.comb(size, k) if distinct else math.comb(size + k - 1, k)
     if distinct and k > size:

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlearn.cli import cli_dispatch
 from mixlearn.fileio import read_dataset
@@ -213,3 +218,155 @@ def test_non_finite_dataset_value_exit_code(tmp_path, capsys, bad):
     ])
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def _learn(data, *extra):
+    return cli_dispatch(["learn", "--data", str(data), *extra])
+
+
+@pytest.mark.parametrize("route", [
+    ["--method", "moments", "--family", "binomial-p", "--eps", "1/2",
+     "--max-index", "2", "--n", "10"],
+    ["--method", "moments", "--family", "geometric-u", "--max-index", "3"],
+    ["--method", "pmf", "--family", "geometric-p", "--eps", "1/4",
+     "--max-index", "4"],
+    ["--method", "mde", "--family", "poisson", "--max-index", "5"],
+])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_component_count_below_one_exit_code(tmp_path, capsys, route, k):
+    data = tmp_path / "data.txt"
+    family = route[route.index("--family") + 1]
+    data.write_text(f"# family={family}\n1\n2\n3\n1\n")
+    assert _learn(data, "--k", k, *route) == 1
+    assert "k must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_exit_code(tmp_path, capsys, sigma):
+    data = tmp_path / "data.txt"
+    data.write_text("# family=gaussian\n0.5\n1.5\n")
+    rc = _learn(data, "--method", "mde", "--family", "gaussian", "--k", "2",
+                "--max-index", "3", "--sigma", sigma)
+    assert rc == 1
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_wide_dataset_value_exit_code(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text(f"# family=poisson\n1\n{10**20}\n")
+    rc = _learn(data, "--method", "mde", "--family", "poisson", "--k", "2",
+                "--max-index", "5")
+    assert rc == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_malformed_truth_is_usage_error(tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("# family=poisson\n1\n4\n")
+    rc = _learn(data, "--method", "mde", "--family", "poisson", "--k", "2",
+                "--max-index", "5", "--truth", "1,x")
+    assert rc == 2
+
+
+# --- property test: whatever the arguments and files, cli_dispatch returns an
+# exit code and lets no exception escape.
+
+FAMILIES = ["gaussian", "poisson", "binomial-p", "geometric-p", "geometric-u",
+            "chi-squared", "neg-binomial"]
+# valid `learn` flags per family; the property test overrides a few of them
+BASE_FLAGS = {
+    "gaussian": {"--max-index": "3", "--sigma": "1"},
+    "poisson": {"--max-index": "5"},
+    "binomial-p": {"--eps": "1/2", "--max-index": "2", "--n": "10"},
+    "geometric-p": {"--eps": "1/4", "--max-index": "4"},
+    "geometric-u": {"--max-index": "3"},
+    "chi-squared": {"--min-index": "2", "--max-index": "4"},
+    "neg-binomial": {"--max-index": "4", "--p": "1/2"},
+}
+FLAG_VALUES = {
+    "--eps": ["1", "1/2", "1/4", "2/5", "0", "3"],
+    "--min-index": ["-1", "0", "1", "3"],
+    "--max-index": ["-1", "0", "1", "5"],
+    "--n": ["-1", "0", "2", "10"],
+    "--sigma": ["1", "0.5", "nan", "inf", "-1", "0"],
+    "--p": ["1/2", "0", "1"],
+}
+# method and family drawn together: every route, and some that do not exist
+routes = st.one_of(
+    st.sampled_from([
+        ("moments", "binomial-p"), ("moments", "geometric-u"), ("pmf", "geometric-p"),
+        ("mde", "poisson"), ("mde", "gaussian"), ("mde", "chi-squared"),
+        ("mde", "neg-binomial"),
+    ]),
+    st.tuples(st.sampled_from(["moments", "pmf", "mde"]), st.sampled_from(FAMILIES)),
+)
+flag_overrides = st.lists(
+    st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(FLAG_VALUES[flag]))),
+    max_size=2,
+).map(dict)
+# the header family (None: the learned family), ordinary values, and
+# possibly one line that a dataset should not hold
+dataset = st.tuples(
+    st.one_of(st.none(), st.sampled_from(FAMILIES)),
+    st.lists(st.sampled_from(["0", "1", "2", "3", "4"]), max_size=12),
+    st.lists(st.sampled_from(["inf", "nan", str(2**63), "-3", "1.5",
+                              str(2**53 + 1), "0.25", "x"]), max_size=1),
+)
+# one valid spec per family; the property test overrides a few of its keys
+BASE_SPECS = {
+    "gaussian": {"indices": "0,2", "sigma": "1"},
+    "poisson": {"indices": "1,4"},
+    "binomial-p": {"eps": "1/2", "min_index": "0", "max_index": "2",
+                   "indices": "1,2", "n": "10"},
+    "geometric-p": {"eps": "1/4", "max_index": "4", "indices": "1,3"},
+    "geometric-u": {"indices": "0,2"},
+    "chi-squared": {"indices": "2,4"},
+    "neg-binomial": {"indices": "1,3", "p": "1/2"},
+}
+spec_overrides = st.dictionaries(
+    st.sampled_from(["family", "eps", "indices", "min_index", "max_index",
+                     "n", "sigma", "k", "weights", "p"]),
+    st.sampled_from(["", "x", "0", "1", "2", "1/2", "1,2", "1,x", "nan", "inf",
+                     "-1", "poisson", "binomial-p", "gaussian", "geometric-u"]),
+    max_size=3,
+)
+
+
+def _dispatch_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        return cli_dispatch(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(route=routes, k=st.integers(-1, 3), overrides=flag_overrides, data=dataset)
+def test_learn_never_escapes(route, k, overrides, data):
+    method, family = route
+    header, values, odd = data
+    flags = {**BASE_FLAGS[family], **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "w") as fh:
+            fh.write(f"# family={header or family}\n")
+            fh.write("".join(v + "\n" for v in values + odd))
+        argv = ["learn", "--method", method, "--family", family, "--k", str(k),
+                "--data", path]
+        rc = _dispatch_quietly(argv + [x for item in flags.items() for x in item])
+    assert rc in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(FAMILIES), overrides=spec_overrides,
+       samples=st.integers(1, 20), seed=st.integers(-1, 3))
+def test_simulate_never_escapes(family, overrides, samples, seed):
+    kv = {"family": family, **BASE_SPECS[family], **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.txt")
+        with open(spec, "w") as fh:
+            fh.write("".join(f"{key}={val}\n" for key, val in kv.items()))
+        rc = _dispatch_quietly([
+            "simulate", "--spec", spec, "--samples", str(samples),
+            "--seed", str(seed), "--out", os.path.join(tmp, "out.txt"),
+        ])
+    assert rc in (0, 1, 2)

@@ -121,6 +121,25 @@ def test_dataset_parse_error_carries_line_number(tmp_path):
     assert exc.value.line == 3
 
 
+def test_dataset_value_beyond_int64_is_parse_error(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text(f"# family=poisson\n1\n{2**63}\n2\n")
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line == 3
+
+
+def test_dataset_keeps_integers_beyond_float_precision(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"# family=poisson\n9007199254740993\n{2**63 - 1}\n0\n")
+    values = read_dataset(path).values
+    assert values.dtype == np.int64
+    assert values.tolist() == [2**53 + 1, 2**63 - 1, 0]
+    # a continuous family reads the same lines as floats
+    path.write_text(f"# family=gaussian\n9007199254740993\n{2**63}\n")
+    assert read_dataset(path).values.tolist() == [2.0**53, 2.0**63]
+
+
 def test_dataset_requires_family_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1\n2\n")
@@ -148,3 +167,39 @@ def test_config_round_trip():
 def test_config_missing_key():
     with pytest.raises(ParseError):
         config_from_text("family=poisson\nmethod=mde\n")
+
+
+SPEC_TEXT = "family=binomial-p\nk=2\neps=1/2\nmin_index=0\nmax_index=2\nindices=1,2\nn=10\n"
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("indices", "1,x"), ("indices", ""), ("min_index", "x"), ("max_index", "x"),
+    ("n", "x"), ("k", "x"), ("sigma", "x"),
+])
+def test_spec_malformed_number_names_the_key(key, bad):
+    lines = [ln for ln in SPEC_TEXT.splitlines() if not ln.startswith(key + "=")]
+    text = "\n".join(lines + [f"{key}={bad}"]) + "\n"
+    with pytest.raises(ParseError) as exc:
+        spec_from_text(text)
+    assert repr(key) in str(exc.value)
+
+
+def test_spec_nan_sigma_is_domain_error():
+    from mixlearn import DomainError
+
+    text = "family=gaussian\nindices=0,2\nsigma=nan\n"
+    with pytest.raises(DomainError):
+        spec_from_text(text)
+
+
+@pytest.mark.parametrize("key", [
+    "min_index", "max_index", "k", "truth", "samples", "trials", "seed", "n", "sigma",
+])
+def test_config_malformed_number_names_the_key(key):
+    text = ("family=binomial-p\nmethod=moments\neps=1/2\nmin_index=0\n"
+            "max_index=2\nk=2\ntruth=1,2\nsamples=10\ntrials=1\nseed=1\n"
+            "n=10\nsigma=1.0\n")
+    lines = [ln for ln in text.splitlines() if not ln.startswith(key + "=")]
+    with pytest.raises(ParseError) as exc:
+        config_from_text("\n".join(lines + [f"{key}=1,x"]) + "\n")
+    assert repr(key) in str(exc.value)

@@ -117,6 +117,12 @@ def test_shared_param_validation():
         SharedParams(n=0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+def test_shared_sigma_must_be_finite(sigma):
+    with pytest.raises(DomainError):
+        SharedParams(sigma=sigma)
+
+
 def test_spec_values_and_components():
     grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2)
     spec = uniform_spec(grid, (1, 2), SharedParams(n=10))

@@ -6,6 +6,7 @@ import pytest
 
 from mixlearn import (
     ContractError,
+    candidate_family,
     DomainError,
     ExperimentConfig,
     Family,
@@ -90,6 +91,39 @@ def test_geometric_pmf_sampled_recovery():
     data = sample(spec, 500_000, seed=1312)
     result = learn_geometric(data, grid, 2, "pmf", truth=(1, 3))
     assert result.recovered == (1, 3)
+
+
+def test_pmf_default_order_follows_the_binomial_rule():
+    for den in (2, 4, 8):
+        eps = Fraction(1, den)
+        grid = ParameterGrid(Family.GEOMETRIC_P, eps, 0, den)
+        spec = uniform_spec(grid, (1, den))
+        result = learn_geometric(None, grid, 2, "pmf", oracle_spec=spec, truth=(1, den))
+        assert result.exact_match is True
+        assert result.diagnostics["T"] == moments_order_binomial(eps, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_component_count_below_one_is_domain_error(k):
+    bgrid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2)
+    bspec = uniform_spec(bgrid, (1, 2), SharedParams(n=10))
+    with pytest.raises(DomainError):
+        learn_binomial_moments(None, 10, Fraction(1, 2), k, oracle_spec=bspec)
+    ugrid = ParameterGrid(Family.GEOMETRIC_U, Fraction(1), 0, 3)
+    with pytest.raises(DomainError):
+        learn_geometric(None, ugrid, k, "moments", oracle_spec=uniform_spec(ugrid, (0, 2)))
+    pgrid = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 4), 0, 4)
+    with pytest.raises(DomainError):
+        learn_geometric(None, pgrid, k, "pmf", oracle_spec=uniform_spec(pgrid, (1, 3)))
+    with pytest.raises(DomainError):
+        candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), k)
+
+
+def test_zero_step_is_domain_error():
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2)
+    data = sample(uniform_spec(grid, (1, 2), SharedParams(n=10)), 100, seed=1)
+    with pytest.raises(DomainError):
+        learn_binomial_moments(data, 10, Fraction(0), 2)
 
 
 def test_geometric_variant_grid_mismatch():

@@ -123,6 +123,38 @@ def test_pmf_to_power_sums_exact():
     assert psums.values == (2, 4, 10, 28)
 
 
+def _geometric_p_probs():
+    from mixlearn import mixture_pmf_exact
+
+    grid = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 4), 0, 4)
+    spec = uniform_spec(grid, (1, 3))
+    return grid, [mixture_pmf_exact(spec, x) for x in range(3)]
+
+
+def test_pmf_to_power_sums_truncates_high_orders_when_asked():
+    grid, probs = _geometric_p_probs()
+    # shift m_3 by k * delta / eps^3 = 2 * (1/320) * 64 = 0.4 > 1/4
+    probs[2] += Fraction(1, 320)
+    psums, residuals = pmf_to_power_sums(probs, grid, 2, truncate_after=2)
+    assert psums.values == (2, 4, 10)  # order 3 dropped, not fatal
+    assert len(residuals) == 3
+
+
+def test_pmf_to_power_sums_rejects_inconsistency():
+    grid, probs = _geometric_p_probs()
+    probs[2] += Fraction(1, 320)
+    with pytest.raises(MomentInconsistencyError):
+        pmf_to_power_sums(probs, grid, 2)
+
+
+def test_moments_to_power_sums_rejects_the_pmf_family():
+    grid, probs = _geometric_p_probs()
+    with pytest.raises(ContractError):
+        moments_to_power_sums(
+            [Fraction(1)] + probs, Family.GEOMETRIC_P, SharedParams(), grid, 2
+        )
+
+
 def test_small_T_falls_back_to_search_and_detects_ambiguity():
     # Prouhet pair: m_0..m_2 identical for {0,3,5,6} and {1,2,4,7}
     m = PowerSumVector((4, 14, 70))

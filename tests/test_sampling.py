@@ -60,6 +60,12 @@ def test_sample_count_validation():
         sample(spec, 0, seed=1)
 
 
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -2)])
+def test_negative_seed_or_stream_is_domain_error(seed, stream):
+    with pytest.raises(DomainError):
+        sample(_spec(Family.POISSON, (1, 4)), 5, seed=seed, stream=stream)
+
+
 def test_discrete_dataset_rejects_negative_and_fractional():
     with pytest.raises(DomainError):
         SampleDataset(Family.POISSON, np.array([1.5, 2.0]))
