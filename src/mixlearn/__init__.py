@@ -85,6 +85,7 @@ from .learners import (
     ExperimentReport,
     LearnResult,
     TrialRow,
+    learn,
     learn_binomial_moments,
     learn_geometric,
     learn_mde,

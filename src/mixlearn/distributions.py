@@ -5,7 +5,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Union
 
@@ -180,31 +179,18 @@ def char_fn(spec: MixtureSpec, t: float) -> complex:
     )
 
 
-@lru_cache(maxsize=None)
-def _poisson_moment(lam: Fraction, ell: int) -> Fraction:
-    # Touchard recurrence: E X^(l+1) = lam * sum_j C(l, j) E X^j.
-    if ell == 0:
-        return Fraction(1)
-    return lam * sum(
-        comb(ell - 1, j) * _poisson_moment(lam, j) for j in range(ell)
-    )
-
-
 def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
-    """Exact rational raw moment E X^ell of the mixture."""
+    """Exact rational raw moment E X^ell of the mixture (binomial-p,
+    geometric-u and Poisson)."""
     if ell < 0:
         raise ContractError("moment order must be nonnegative")
-    if spec.family in (Family.BINOMIAL_P, Family.GEOMETRIC_U):
-        poly = moment_polynomial(spec.family, spec.shared, ell)
-        return sum((w * poly(v) for w, v in spec.components()), Fraction(0))
-    if spec.family is Family.POISSON:
-        return sum(
-            (w * _poisson_moment(Fraction(v), ell) for w, v in spec.components()),
-            Fraction(0),
+    if spec.family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U, Family.POISSON):
+        # geometric-p's moment_polynomial gives the pmf, not a moment
+        raise ContractError(
+            f"exact moments unsupported for family {spec.family.value}"
         )
-    raise ContractError(
-        f"exact moments unsupported for family {spec.family.value}"
-    )
+    poly = moment_polynomial(spec.family, spec.shared, ell)
+    return sum((w * poly(v) for w, v in spec.components()), Fraction(0))
 
 
 def mixture_pmf_exact(spec: MixtureSpec, x: int) -> Fraction:

@@ -172,6 +172,28 @@ def _index_list(kv: Dict[str, str], key: str) -> Tuple[int, ...]:
     return out
 
 
+def _shared_lines(owner) -> List[str]:
+    """``n``, ``sigma`` and ``p`` lines for the shared parameters that
+    ``owner`` (a SharedParams or an ExperimentConfig) sets."""
+    lines = []
+    if owner.n is not None:
+        lines.append(f"n={owner.n}")
+    if owner.sigma is not None:
+        lines.append(f"sigma={owner.sigma!r}")
+    if owner.p is not None:
+        lines.append(f"p={format_rational(owner.p)}")
+    return lines
+
+
+def _shared_fields(kv: Dict[str, str]) -> Dict[str, object]:
+    """``n``, ``sigma`` and ``p`` parsed from ``kv``; None where absent."""
+    return {
+        "n": _number(kv, "n") if "n" in kv else None,
+        "sigma": _number(kv, "sigma", float) if "sigma" in kv else None,
+        "p": parse_rational(kv["p"]) if "p" in kv else None,
+    }
+
+
 # ---------------------------------------------------------------------------
 # mixture specs
 
@@ -185,13 +207,8 @@ def spec_to_text(spec: MixtureSpec) -> str:
         f"max_index={spec.grid.max_index}",
         f"indices={','.join(str(i) for i in spec.indices)}",
         f"weights={','.join(format_rational(w) for w in spec.weights)}",
+        *_shared_lines(spec.shared),
     ]
-    if spec.shared.n is not None:
-        lines.append(f"n={spec.shared.n}")
-    if spec.shared.sigma is not None:
-        lines.append(f"sigma={spec.shared.sigma!r}")
-    if spec.shared.p is not None:
-        lines.append(f"p={format_rational(spec.shared.p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,11 +223,7 @@ def spec_from_text(text: str) -> MixtureSpec:
     weights = ()
     if "weights" in kv and kv["weights"]:
         weights = tuple(parse_rational(s) for s in kv["weights"].split(","))
-    shared = SharedParams(
-        n=_number(kv, "n") if "n" in kv else None,
-        sigma=_number(kv, "sigma", float) if "sigma" in kv else None,
-        p=parse_rational(kv["p"]) if "p" in kv else None,
-    )
+    shared = SharedParams(**_shared_fields(kv))
     spec = MixtureSpec(grid=grid, indices=indices, weights=weights, shared=shared)
     if "k" in kv and _number(kv, "k") != spec.k:
         raise ParseError(f"k={kv['k']} disagrees with {spec.k} indices")
@@ -243,9 +256,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         samples=_number(kv, "samples"),
         trials=_number(kv, "trials"),
         seed=_number(kv, "seed"),
-        n=_number(kv, "n") if "n" in kv else None,
-        sigma=_number(kv, "sigma", float) if "sigma" in kv else None,
-        p=parse_rational(kv["p"]) if "p" in kv else None,
+        **_shared_fields(kv),
         oracle=kv.get("oracle", "false").lower() in ("1", "true", "yes"),
     )
 
@@ -262,13 +273,8 @@ def config_to_text(config: ExperimentConfig) -> str:
         f"samples={config.samples}",
         f"trials={config.trials}",
         f"seed={config.seed}",
+        *_shared_lines(config),
     ]
-    if config.n is not None:
-        lines.append(f"n={config.n}")
-    if config.sigma is not None:
-        lines.append(f"sigma={config.sigma!r}")
-    if config.p is not None:
-        lines.append(f"p={format_rational(config.p)}")
     if config.oracle:
         lines.append("oracle=true")
     return "\n".join(lines) + "\n"

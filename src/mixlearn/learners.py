@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .distributions import mixture_moment_exact, mixture_pmf_exact
 from .errors import ContractError, DomainError
@@ -140,6 +140,8 @@ def learn_binomial_moments(
     shared = SharedParams(n=n)
     if T is None:
         T = moments_order_binomial(eps, k)
+    if n is None:
+        raise ContractError("binomial-p moments need the shared trial count n")
     if n < T:
         raise DomainError(f"need n >= T = {T} trials, got {n}")
     return _learn_algebraic(data, grid, shared, k, T, "moments", oracle_spec, truth)
@@ -192,7 +194,7 @@ def learn_mde(
     """Minimum-distance estimation over all distinct k-subsets of the grid."""
     if family not in ANALYTIC_FAMILIES:
         raise ContractError(f"MDE learner covers the analytic families only")
-    candidates = candidate_family(grid, k, shared, distinct=True)
+    candidates = candidate_family(grid, k, shared)
     if oracle_spec is not None:
         result = mde_select(candidates, truth=oracle_spec, precomputed=precomputed)
         samples_used = 0
@@ -209,6 +211,52 @@ def learn_mde(
         "tie_broken": float(result.tie_broken),
     }
     return _finish(recovered, "mde", diag, truth)
+
+
+#: The (method, family) pairs ``learn`` serves, in the order the CLI lists
+#: methods.  Each entry calls a public learner by its module-global name at
+#: call time, so a wrapper installed on that name sees the call.
+ROUTES = {
+    ("moments", Family.BINOMIAL_P): lambda data, grid, k, shared, pre, **kw:
+        learn_binomial_moments(data, shared.n, grid.step, k, **kw),
+    ("moments", Family.GEOMETRIC_U): lambda data, grid, k, shared, pre, **kw:
+        learn_geometric(data, grid, k, "moments", **kw),
+    ("pmf", Family.GEOMETRIC_P): lambda data, grid, k, shared, pre, **kw:
+        learn_geometric(data, grid, k, "pmf", **kw),
+    **{
+        ("mde", family): lambda data, grid, k, shared, pre, **kw:
+            learn_mde(data, grid.family, grid, k, shared, precomputed=pre, **kw)
+        for family in Family if family in ANALYTIC_FAMILIES
+    },
+}
+
+
+def learn(
+    method: str,
+    data: Optional[SampleDataset],
+    grid: ParameterGrid,
+    k: int,
+    shared: SharedParams,
+    oracle_spec: Optional[MixtureSpec] = None,
+    truth: Optional[Sequence[int]] = None,
+    precomputed=None,
+) -> LearnResult:
+    """Run the ``ROUTES`` learner for (method, grid.family); ``precomputed``
+    (a ``precompute_mde`` table) reaches MDE only.  A dataset must be of
+    ``grid.family``."""
+    route = ROUTES.get((method, grid.family))
+    if route is None:
+        raise ContractError(
+            f"method {method!r} does not apply to family {grid.family.value}"
+        )
+    if data is not None and data.family is not grid.family:
+        # the dataset's values were checked against its own family only
+        raise DomainError(
+            f"dataset family {data.family.value} disagrees with the learned "
+            f"family {grid.family.value}"
+        )
+    return route(data, grid, k, shared, precomputed,
+                 oracle_spec=oracle_spec, truth=truth)
 
 
 def mde_sample_size(n_candidates: int, delta: float, constant: float = 8.0) -> int:
@@ -263,38 +311,15 @@ class ExperimentReport:
     wall_clock: float
 
 
-def _learn_once(
-    config: ExperimentConfig, dataset: Optional[SampleDataset], precomputed
-) -> LearnResult:
-    grid = config.grid()
-    oracle = config.truth_spec() if config.oracle else None
-    if config.method == "moments" and config.family is Family.BINOMIAL_P:
-        return learn_binomial_moments(
-            dataset, config.n, config.eps, config.k,
-            oracle_spec=oracle, truth=config.truth,
-        )
-    if config.method in ("moments", "pmf") and config.family in (
-        Family.GEOMETRIC_U, Family.GEOMETRIC_P
-    ):
-        return learn_geometric(
-            dataset, grid, config.k, config.method,
-            oracle_spec=oracle, truth=config.truth,
-        )
-    if config.method == "mde":
-        return learn_mde(
-            dataset, config.family, grid, config.k, config.shared(),
-            oracle_spec=oracle, truth=config.truth, precomputed=precomputed,
-        )
-    raise ContractError(
-        f"unsupported method {config.method!r} for family {config.family.value}"
-    )
-
-
 def _run_trial(config: ExperimentConfig, trial: int, precomputed) -> TrialRow:
     dataset = None
     if not config.oracle:
         dataset = sample(config.truth_spec(), config.samples, config.seed, stream=trial)
-    result = _learn_once(config, dataset, precomputed)
+    result = learn(
+        config.method, dataset, config.grid(), config.k, config.shared(),
+        oracle_spec=config.truth_spec() if config.oracle else None,
+        truth=config.truth, precomputed=precomputed,
+    )
     diag = result.diagnostics
     score = diag.get("delta", diag.get("max_solve_residual", 0.0))
     return TrialRow(

@@ -154,6 +154,7 @@ def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
     * binomial-p: E X^ell as a polynomial in p (needs shared.n >= ell)
     * geometric-u: E X^ell as a polynomial in u = 1/p
     * geometric-p: Pr(X = ell) as a polynomial in p, degree ell + 1
+    * poisson: E X^ell as the Touchard polynomial sum_j S(ell, j) lam^j
     """
     if ell < 0:
         raise ContractError("moment order must be nonnegative")
@@ -165,4 +166,6 @@ def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
         return _geometric_u_moment(ell)
     if family is Family.GEOMETRIC_P:
         return _geometric_pmf_poly(ell)
+    if family is Family.POISSON:
+        return IntegerPolynomial(stirling2_row(ell))
     raise ContractError(f"no moment polynomial for family {family.value}")

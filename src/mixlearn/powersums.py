@@ -238,7 +238,6 @@ def _brute_force_multisets(
 def reconstruct_multiset(
     m: PowerSumVector,
     domain: range,
-    k: Optional[int] = None,
     verify_orders: Optional[int] = None,
 ) -> Tuple[int, ...]:
     """Recover the sorted index multiset from its power sums.
@@ -250,10 +249,7 @@ def reconstruct_multiset(
     m_1..m_k already determine the multiset and higher orders carry the
     most sampling noise).
     """
-    if k is None:
-        k = m.k
-    if k != m.k:
-        raise ContractError("m_0 must equal k")
+    k = m.k
     check_to = m.T if verify_orders is None else min(m.T, max(verify_orders, k))
     if m.T >= k:
         elementary = newton_to_elementary(m)

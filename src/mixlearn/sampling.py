@@ -45,6 +45,9 @@ class SampleDataset:
             if arr.dtype.kind not in "iu":
                 if not np.all(arr == np.floor(arr)):
                     raise DomainError("discrete dataset has non-integer values")
+                if np.any(np.abs(arr) >= 2.0**53):
+                    # a float this large may already be rounded, or not fit int64
+                    raise DomainError("discrete dataset value of magnitude 2**53 or more")
                 arr = arr.astype(np.int64)
             if arr.size and arr.min() < 0:
                 raise DomainError("discrete dataset has negative values")

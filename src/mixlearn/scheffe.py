@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -166,21 +166,18 @@ def candidate_family(
     grid: ParameterGrid,
     k: int,
     shared: SharedParams = SharedParams(),
-    distinct: bool = True,
     cap: int = CANDIDATE_CAP,
 ) -> List[MixtureSpec]:
-    """All uniform k-subset (or k-multiset) mixtures on the grid, in
-    lexicographic index order."""
+    """All uniform k-subset mixtures on the grid, in lexicographic index
+    order."""
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    size = grid.size
-    count = math.comb(size, k) if distinct else math.comb(size + k - 1, k)
-    if distinct and k > size:
-        raise DomainError(f"cannot pick {k} distinct indices from {size}")
+    if k > grid.size:
+        raise DomainError(f"cannot pick {k} distinct indices from {grid.size}")
+    count = math.comb(grid.size, k)
     if count > cap:
         raise CapExceededError(f"{count} candidates exceed the cap {cap}")
-    maker = combinations if distinct else combinations_with_replacement
-    return [uniform_spec(grid, idx, shared) for idx in maker(grid.indices(), k)]
+    return [uniform_spec(grid, idx, shared) for idx in combinations(grid.indices(), k)]
 
 
 #: MDE tie rule: every candidate scoring within TIE_ULPS units in the last

@@ -329,9 +329,6 @@ def separation_survey(
     grid: ParameterGrid,
     k: int,
     L: Optional[float] = None,
-    tol: float = 1e-9,
-    grid_points: int = 1024,
-    cap: int = SURVEY_CAP,
 ) -> SurveySummary:
     """Exact TV and characteristic-function bound for every pair of distinct
     k-subsets on the grid."""
@@ -342,14 +339,14 @@ def separation_survey(
         L = max(1.0, float(N) ** (1.0 / 3.0))
     subsets = list(combinations(grid.indices(), k))
     n_pairs = len(subsets) * (len(subsets) - 1) // 2
-    if n_pairs > cap:
-        raise CapExceededError(f"{n_pairs} pairs exceed the survey cap {cap}")
+    if n_pairs > SURVEY_CAP:
+        raise CapExceededError(f"{n_pairs} pairs exceed the survey cap {SURVEY_CAP}")
     rows: List[SurveyRow] = []
     for ia, ib in combinations(range(len(subsets)), 2):
         a = uniform_spec(grid, subsets[ia], shared)
         b = uniform_spec(grid, subsets[ib], shared)
-        interval = tv_exact(a, b, tol)
-        cert = tv_lower_bound_charfn(a, b, L, grid_points)
+        interval = tv_exact(a, b)
+        cert = tv_lower_bound_charfn(a, b, L)
         rows.append(
             SurveyRow(
                 pair_a=subsets[ia],

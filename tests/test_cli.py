@@ -260,6 +260,15 @@ def test_wide_dataset_value_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_dataset_of_another_family_exit_code(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("# family=gaussian\n-3\n")
+    rc = _learn(data, "--method", "mde", "--family", "poisson", "--k", "1",
+                "--max-index", "5")
+    assert rc == 1
+    assert "disagrees" in capsys.readouterr().err
+
+
 def test_malformed_truth_is_usage_error(tmp_path):
     data = tmp_path / "data.txt"
     data.write_text("# family=poisson\n1\n4\n")
@@ -370,3 +379,13 @@ def test_simulate_never_escapes(family, overrides, samples, seed):
             "--seed", str(seed), "--out", os.path.join(tmp, "out.txt"),
         ])
     assert rc in (0, 1, 2)
+
+
+@pytest.mark.parametrize("line", ["1e19", "9.007199254740993e15"])
+def test_float_written_wide_dataset_value_exit_code(tmp_path, capsys, line):
+    data = tmp_path / "data.txt"
+    data.write_text(f"# family=poisson\n1\n{line}\n")
+    rc = _learn(data, "--method", "mde", "--family", "poisson", "--k", "2",
+                "--max-index", "5")
+    assert rc == 1
+    assert "2**53" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixlearn import (
+    DomainError,
     ExperimentConfig,
     Family,
     ParameterGrid,
@@ -203,3 +204,20 @@ def test_config_malformed_number_names_the_key(key):
     with pytest.raises(ParseError) as exc:
         config_from_text("\n".join(lines + [f"{key}=1,x"]) + "\n")
     assert repr(key) in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["1e19", "-1e19", "9.007199254740993e15"])
+def test_float_written_discrete_value_beyond_float_precision_is_domain_error(tmp_path, line):
+    # a float line has already lost the exact value; refuse it before the
+    # int64 cast wraps or rounds it
+    path = tmp_path / "wide.txt"
+    path.write_text(f"# family=poisson\n1\n{line}\n")
+    with pytest.raises(DomainError, match="2\\*\\*53"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("value", [2.0**53, -(2.0**63), np.inf])
+def test_discrete_float_array_beyond_float_precision_is_domain_error(value):
+    with pytest.raises(DomainError):
+        SampleDataset(Family.POISSON, np.array([1.0, value]))
+    assert SampleDataset(Family.POISSON, np.array([2.0**53 - 1])).values.tolist() == [2**53 - 1]
