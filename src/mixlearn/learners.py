@@ -131,12 +131,18 @@ def learn_binomial_moments(
     oracle_spec: Optional[MixtureSpec] = None,
     truth: Optional[Sequence[int]] = None,
     T: Optional[int] = None,
+    grid: Optional[ParameterGrid] = None,
 ) -> LearnResult:
-    """Moment pipeline for Bin(n, p) mixtures on the p-grid of step eps."""
+    """Moment pipeline for Bin(n, p) mixtures on the p-grid of step eps:
+    ``grid`` when given (its step must be eps), else indices 0..1/eps.  The
+    recovered indices lie in the grid's index range."""
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("grid step must be positive")
-    grid = ParameterGrid(Family.BINOMIAL_P, eps, 0, int(1 / eps))
+    if grid is None:
+        grid = ParameterGrid(Family.BINOMIAL_P, eps, 0, int(1 / eps))
+    elif grid.family is not Family.BINOMIAL_P or grid.step != eps:
+        raise ContractError("binomial moments need a binomial-p grid of step eps")
     shared = SharedParams(n=n)
     if T is None:
         T = moments_order_binomial(eps, k)
@@ -218,7 +224,7 @@ def learn_mde(
 #: call time, so a wrapper installed on that name sees the call.
 ROUTES = {
     ("moments", Family.BINOMIAL_P): lambda data, grid, k, shared, pre, **kw:
-        learn_binomial_moments(data, shared.n, grid.step, k, **kw),
+        learn_binomial_moments(data, shared.n, grid.step, k, grid=grid, **kw),
     ("moments", Family.GEOMETRIC_U): lambda data, grid, k, shared, pre, **kw:
         learn_geometric(data, grid, k, "moments", **kw),
     ("pmf", Family.GEOMETRIC_P): lambda data, grid, k, shared, pre, **kw:
@@ -229,6 +235,13 @@ ROUTES = {
         for family in Family if family in ANALYTIC_FAMILIES
     },
 }
+
+
+def _route(method: str, family: Family):
+    route = ROUTES.get((method, family))
+    if route is None:
+        raise ContractError(f"method {method!r} does not apply to family {family.value}")
+    return route
 
 
 def learn(
@@ -244,11 +257,7 @@ def learn(
     """Run the ``ROUTES`` learner for (method, grid.family); ``precomputed``
     (a ``precompute_mde`` table) reaches MDE only.  A dataset must be of
     ``grid.family``."""
-    route = ROUTES.get((method, grid.family))
-    if route is None:
-        raise ContractError(
-            f"method {method!r} does not apply to family {grid.family.value}"
-        )
+    route = _route(method, grid.family)
     if data is not None and data.family is not grid.family:
         # the dataset's values were checked against its own family only
         raise DomainError(
@@ -347,6 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Per-trial sample -> learn -> compare; deterministic in the base seed
     (trial i uses sampling stream i)."""
     start = time.monotonic()
+    _route(config.method, config.family)  # before any precompute or sampling
     precomputed = None
     if config.method == "mde":
         candidates = candidate_family(config.grid(), config.k, config.shared())

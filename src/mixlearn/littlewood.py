@@ -9,9 +9,12 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: float64 entries of working memory per evaluation block; one grid times the
+#: row length must fit in one block.
+BLOCK_FLOATS = 2**22
 
 
 @dataclass(frozen=True)
@@ -34,10 +37,18 @@ class LittlewoodPoly:
         return abs(acc)
 
 
-def _grid(L: float, resolution: int) -> np.ndarray:
+def _grid(L: float, resolution: int, length: int) -> np.ndarray:
+    if resolution < 64:
+        raise DomainError("resolution must be at least 64 points per unit arc")
+    if not 0 < L < math.inf:
+        raise DomainError("L must be positive and finite")
     # conjugate symmetry for real coefficients: scan [0, pi/L] only
     arc = math.pi / L
     points = max(int(resolution * arc) + 1, 9)
+    if points * length > BLOCK_FLOATS:
+        raise CapExceededError(
+            f"{points} grid points x {length} coefficients exceed {BLOCK_FLOATS}"
+        )
     return np.linspace(0.0, arc, points)
 
 
@@ -46,11 +57,7 @@ def littlewood_arc_max(
 ) -> Tuple[float, float]:
     """(t*, value): a certified lower bound on max |A(e^{it})| over the arc,
     from a uniform grid refined by golden-section search."""
-    if resolution < 64:
-        raise DomainError("resolution must be at least 64 points per unit arc")
-    if L <= 0:
-        raise DomainError("L must be positive")
-    ts = _grid(L, resolution)
+    ts = _grid(L, resolution, len(poly.coefficients))
     vals = np.abs(
         np.exp(1j * np.outer(ts, np.arange(len(poly.coefficients))))
         @ np.array(poly.coefficients, dtype=np.float64)
@@ -77,6 +84,21 @@ def littlewood_arc_max(
     return float(t_star), float(value)
 
 
+def _autocorrelations(rows: np.ndarray) -> np.ndarray:
+    """r_k = sum_j c_j c_(j+k), k = 0..m-1, as an (m, rows) integer array.
+
+    |r_k| <= m, so the smallest signed type holding -m - 1 keeps them
+    exact, and narrow keys are what ``np.lexsort`` sorts fastest.
+    """
+    m = rows.shape[1]
+    cols = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(-m - 1))
+    r = np.zeros_like(cols)
+    for k in range(m):
+        for j in range(m - k):
+            r[k] += cols[j] * cols[j + k]
+    return r
+
+
 def arc_max_batch(
     coeff_rows: np.ndarray, L: float, resolution: int = 256
 ) -> np.ndarray:
@@ -85,15 +107,36 @@ def arc_max_batch(
     Returns one lower bound per row; used by the exhaustive oracle and the
     regression sweep, where golden-section refinement per polynomial would be
     needlessly slow.
+
+    |A(e^{it})|^2 = r_0 + 2 sum_(k>=1) r_k cos(kt) with the integer
+    autocorrelation r of the coefficients.  Negating, shifting or reversing
+    a row leaves r unchanged, so rows are grouped by r and each distinct r
+    is evaluated once, as one real product against a cosine table.
     """
-    ts = _grid(L, resolution)
-    degrees = np.arange(coeff_rows.shape[1])
-    phases = np.exp(1j * np.outer(ts, degrees))  # (points, degree+1)
-    out = np.empty(coeff_rows.shape[0])
-    chunk = max(1, 2**22 // len(ts))
-    for start in range(0, coeff_rows.shape[0], chunk):
-        block = coeff_rows[start : start + chunk].astype(np.float64)
-        out[start : start + chunk] = np.abs(block @ phases.T).max(axis=1)
+    rows = np.asarray(coeff_rows)
+    if rows.ndim != 2 or rows.size == 0:
+        raise DomainError("coefficient rows must form a nonempty 2-D array")
+    if not np.all((rows == -1) | (rows == 0) | (rows == 1)):
+        raise DomainError("coefficients must lie in {-1, 0, 1}")
+    ts = _grid(L, resolution, rows.shape[1])
+    r = _autocorrelations(rows)
+    if not np.all(r[0]):  # r_0 counts the nonzero coefficients
+        raise DomainError("the zero polynomial has no arc bound")
+    order = np.lexsort(r)
+    r = r[:, order]
+    first = np.empty(r.shape[1], dtype=bool)  # first row of each r group
+    first[0] = True
+    np.any(r[:, 1:] != r[:, :-1], axis=0, out=first[1:])
+    distinct = r[:, first].T.astype(np.float64)
+    # rows 1, 2cos(t), 2cos(2t), ...: distinct @ table is |A|^2 on the grid
+    table = 2.0 * np.cos(np.outer(np.arange(r.shape[0]), ts))
+    table[0] = 1.0
+    best = np.empty(len(distinct))
+    chunk = BLOCK_FLOATS // len(ts)
+    for start in range(0, len(distinct), chunk):
+        best[start : start + chunk] = (distinct[start : start + chunk] @ table).max(axis=1)
+    out = np.empty(r.shape[1])
+    out[order] = np.sqrt(np.maximum(best, 0.0))[np.cumsum(first) - 1]
     return out
 
 

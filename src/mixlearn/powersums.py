@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,6 +61,17 @@ def _round_integer(x: Fraction, what: str) -> Tuple[int, Fraction]:
     return int(rounding.rounded), rounding.residual
 
 
+@lru_cache(maxsize=1024)
+def _index_coefficients(
+    family: Family, shared: SharedParams, offset: int, step: Fraction, ell: int
+) -> Tuple[Fraction, ...]:
+    """Coefficients d_j (in the index alpha) of observable ell at the grid
+    value offset + alpha*step.  They depend on nothing sampled, so every
+    solve over the same grid shares them; a tuple, so the cached value
+    cannot be changed by a caller."""
+    return tuple(moment_polynomial(family, shared, ell).compose_affine(offset, step))
+
+
 def _triangular_solve(
     observables: Sequence[Fraction],
     first: int,
@@ -85,7 +97,7 @@ def _triangular_solve(
     m: List[int] = [k]
     residuals: List[Fraction] = [Fraction(0)]
     for ell in range(first, len(observables)):
-        d = moment_polynomial(family, shared, ell).compose_affine(offset, grid.step)
+        d = _index_coefficients(family, shared, offset, grid.step, ell)
         order = len(d) - 1
         acc = k * observables[ell] - d[0] * k  # d_0 multiplies m_0 = k
         for j in range(1, order):

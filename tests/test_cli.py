@@ -389,3 +389,23 @@ def test_float_written_wide_dataset_value_exit_code(tmp_path, capsys, line):
                 "--max-index", "5")
     assert rc == 1
     assert "2**53" in capsys.readouterr().err
+
+
+def test_binomial_moments_respect_the_declared_index_range(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(BINOMIAL_SPEC.replace("indices=1,2", "indices=0,2"))
+    data = tmp_path / "data.txt"
+    assert cli_dispatch(["simulate", "--spec", str(spec), "--samples", "200000",
+                         "--seed", "1", "--out", str(data)]) == 0
+    route = ["--method", "moments", "--family", "binomial-p", "--k", "2",
+             "--eps", "1/2", "--n", "10", "--truth", "0,2"]
+    assert _learn(data, *route, "--max-index", "2") == 0
+    assert "recovered=0,2" in capsys.readouterr().out
+    assert _learn(data, *route, "--min-index", "1", "--max-index", "2") == 1
+    assert "recovered=0,2" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("arc", [["--L", "1e-300"], ["--L", "1", "--resolution", "100000000"]])
+def test_tv_littlewood_oversized_grid_exit_code(capsys, arc):
+    assert cli_dispatch(["tv", "littlewood", "--coeffs", "1,-1", *arc]) == 1
+    assert "exceed" in capsys.readouterr().err

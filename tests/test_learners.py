@@ -9,6 +9,7 @@ from mixlearn import (
     candidate_family,
     DomainError,
     ExperimentConfig,
+    MixlearnError,
     Family,
     ParameterGrid,
     SharedParams,
@@ -237,3 +238,37 @@ def test_run_experiment_binomial_moments():
     )
     report = run_experiment(config)
     assert report.successes == 2
+
+
+def test_binomial_moments_stay_on_the_declared_grid():
+    eps = Fraction(1, 2)
+    spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, eps, 0, 2), (0, 2),
+                        SharedParams(n=10))
+    narrow = ParameterGrid(Family.BINOMIAL_P, eps, 1, 2)
+    with pytest.raises(MixlearnError):
+        learn_binomial_moments(None, 10, eps, 2, oracle_spec=spec, grid=narrow)
+    default = ParameterGrid(Family.BINOMIAL_P, eps, 0, 2)
+    assert learn_binomial_moments(None, 10, eps, 2, oracle_spec=spec, grid=default) == \
+        learn_binomial_moments(None, 10, eps, 2, oracle_spec=spec)
+
+
+def test_binomial_moments_grid_must_match_the_step():
+    with pytest.raises(ContractError):
+        learn_binomial_moments(None, 10, Fraction(1, 2), 2,
+                               grid=ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4))
+
+
+def test_run_experiment_refuses_an_unsupported_pair_before_any_work(monkeypatch):
+    import mixlearn.learners as learners
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the route check")
+
+    monkeypatch.setattr(learners, "precompute_mde", forbidden)
+    monkeypatch.setattr(learners, "sample", forbidden)
+    config = ExperimentConfig(
+        family=Family.BINOMIAL_P, method="mde", eps=Fraction(1, 4), min_index=0,
+        max_index=4, k=2, truth=(1, 3), samples=100_000, trials=2, seed=1, n=10,
+    )
+    with pytest.raises(ContractError):
+        run_experiment(config)

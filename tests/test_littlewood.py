@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mixlearn import DomainError, LittlewoodPoly, arc_max_batch, littlewood_arc_max
+from mixlearn import (
+    CapExceededError,
+    DomainError,
+    LittlewoodPoly,
+    arc_max_batch,
+    littlewood_arc_max,
+)
 from mixlearn.littlewood import all_coefficient_rows
 
 
@@ -76,3 +82,74 @@ def test_exponential_lower_bound_shape():
     rows = all_coefficient_rows(8)
     maxima = arc_max_batch(rows, L=3.0, resolution=256)
     assert maxima.min() > math.exp(-1.0 * 3.0)
+
+
+def _complex_arc_max(rows, L, resolution):
+    # reference: max over the grid of |sum_j c_j e^{ijt}|, one row at a time
+    arc = math.pi / L
+    ts = np.linspace(0.0, arc, max(int(resolution * arc) + 1, 9))
+    phases = np.exp(1j * np.outer(ts, np.arange(rows.shape[1])))
+    return np.abs(rows.astype(np.float64) @ phases.T).max(axis=1)
+
+
+@pytest.mark.parametrize("resolution", [256, 512])
+@pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
+def test_batch_matches_complex_formula(L, resolution):
+    rows = all_coefficient_rows(8)
+    got = arc_max_batch(rows, L, resolution)
+    want = _complex_arc_max(rows, L, resolution)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_batch_is_invariant_under_negation_shift_and_reversal():
+    row = [1, -1, 0, 1, 1, 0, -1]
+    variants = np.array([
+        row + [0, 0],
+        [-c for c in row] + [0, 0],
+        [0, 0] + row,
+        [0] + row[::-1] + [0],
+        [0, 0] + [-c for c in row[::-1]],
+    ], dtype=np.int8)
+    for L in (1.0, 2.0, 3.0):
+        values = arc_max_batch(variants, L, resolution=512)
+        assert np.all(values == values[0])
+
+
+def test_batch_minimum_at_length_nine_matches_reference():
+    rows = all_coefficient_rows(9)
+    for L in (1.0, 2.0, 3.0):
+        got = arc_max_batch(rows, L, resolution=512).min()
+        want = _complex_arc_max(rows, L, 512).min()
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("rows, L, resolution", [
+    ([[1, -1]], 0.0, 256),
+    ([[1, -1]], -1.0, 256),
+    ([[1, -1]], math.inf, 256),
+    ([[1, -1]], math.nan, 256),
+    ([[1, -1]], 1.0, 8),
+    ([[1, 2]], 1.0, 256),
+    ([[1, 0.5]], 1.0, 256),
+    ([[1, -1], [0, 0]], 1.0, 256),
+    ([1, -1], 1.0, 256),
+    (np.zeros((0, 3)), 1.0, 256),
+])
+def test_batch_validates_like_the_single_arc_max(rows, L, resolution):
+    with pytest.raises(DomainError):
+        arc_max_batch(np.array(rows), L, resolution)
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan])
+def test_arc_must_be_finite(L):
+    with pytest.raises(DomainError):
+        littlewood_arc_max(LittlewoodPoly((1, -1)), L)
+
+
+def test_batch_grid_times_row_length_is_capped():
+    rows = np.ones((2, 4), dtype=np.int8)
+    with pytest.raises(CapExceededError):
+        arc_max_batch(rows, L=1e-300)
+    with pytest.raises(CapExceededError):
+        arc_max_batch(rows, L=1.0, resolution=2**20)

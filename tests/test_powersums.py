@@ -23,7 +23,8 @@ from mixlearn import (
     uniform_spec,
     verify_identifiability,
 )
-from mixlearn.powersums import PowerSumVector
+from mixlearn.polynomials import moment_polynomial
+from mixlearn.powersums import PowerSumVector, _index_coefficients
 
 
 def test_power_sum_signature():
@@ -212,3 +213,12 @@ def test_exhaustive_brute_force_matches_signatures():
         for multiset in combinations_with_replacement(domain, k):
             m = PowerSumVector(power_sum_signature(multiset, k))
             assert reconstruct_multiset(m, domain) == multiset
+
+
+def test_index_coefficients_are_shared_immutable_compositions():
+    shared = SharedParams(n=12)
+    d = _index_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)
+    assert isinstance(d, tuple)
+    assert list(d) == moment_polynomial(Family.BINOMIAL_P, shared, 5).compose_affine(
+        0, Fraction(1, 8))
+    assert _index_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5) is d
