@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from math import comb
@@ -60,30 +59,9 @@ def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
     raise ContractError(f"{family.value} is not a discrete family")
 
 
-def _component_pdf(family: Family, shared, value: Fraction, x: float) -> float:
-    if family is Family.GAUSSIAN:
-        s = shared.sigma
-        z = (x - float(value)) / s
-        return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-    if family is Family.CHI_SQUARED:
-        d = int(value)
-        if x < 0:
-            raise DomainError("chi-squared support is nonnegative")
-        if x == 0.0:
-            if d == 1:
-                raise DomainError("chi-squared(1) density diverges at 0")
-            return 0.5 if d == 2 else 0.0
-        return math.exp(
-            (d / 2.0 - 1.0) * math.log(x) - x / 2.0
-            - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
-        )
-    raise ContractError(f"{family.value} is not a continuous family")
-
-
-def _component_pdf_array(
+def _component_pdf(
     family: Family, shared, value: Fraction, xs: np.ndarray
 ) -> np.ndarray:
-    # the operations of _component_pdf, elementwise
     if family is Family.GAUSSIAN:
         s = shared.sigma
         z = (xs - float(value)) / s
@@ -100,21 +78,17 @@ def _component_pdf_array(
                 (d / 2.0 - 1.0) * np.log(xs) - xs / 2.0
                 - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
             )
-        out[at_zero] = 0.5 if d == 2 else 0.0
-        return out
+        return np.where(at_zero, 0.5 if d == 2 else 0.0, out)
     raise ContractError(f"{family.value} is not a continuous family")
 
 
-def pdf_array(spec: MixtureSpec, xs: np.ndarray) -> np.ndarray:
-    """Mixture density at every point of ``xs`` (continuous families).
-
-    NumPy's exp and log may differ from the math module's in the last bits,
-    so values can differ from ``pmf_or_pdf`` by a few ulps.
-    """
+def pdf_array(spec: MixtureSpec, xs) -> np.ndarray:
+    """Mixture density at a point or at every point of an array ``xs``
+    (continuous families); the result has the shape of ``xs``."""
     xs = np.asarray(xs, dtype=np.float64)
     total = np.zeros(xs.shape)
     for w, v in spec.components():
-        total += float(w) * _component_pdf_array(spec.family, spec.shared, v, xs)
+        total += float(w) * _component_pdf(spec.family, spec.shared, v, xs)
     return total
 
 
@@ -126,10 +100,7 @@ def pmf_or_pdf(spec: MixtureSpec, x: Real) -> float:
             float(w) * _component_pmf(spec.family, spec.shared, v, xi)
             for w, v in spec.components()
         )
-    return sum(
-        float(w) * _component_pdf(spec.family, spec.shared, v, float(x))
-        for w, v in spec.components()
-    )
+    return float(pdf_array(spec, x))
 
 
 def cdf(spec: MixtureSpec, x: Real) -> float:
@@ -147,13 +118,15 @@ def cdf(spec: MixtureSpec, x: Real) -> float:
     raise ContractError(f"cdf unsupported for family {spec.family.value}")
 
 
-def _component_charfn(family: Family, shared, value: Fraction, t: float) -> complex:
-    z = cmath.exp(1j * t)
+def _component_charfn(
+    family: Family, shared, value: Fraction, ts: np.ndarray
+) -> np.ndarray:
+    z = np.exp(1j * ts)
     if family is Family.GAUSSIAN:
         s = shared.sigma
-        return cmath.exp(1j * t * float(value) - 0.5 * s * s * t * t)
+        return np.exp(1j * ts * float(value) - 0.5 * s * s * ts * ts)
     if family is Family.POISSON:
-        return cmath.exp(float(value) * (z - 1.0))
+        return np.exp(float(value) * (z - 1.0))
     if family is Family.BINOMIAL_P:
         p = float(value)
         return (1.0 - p + p * z) ** shared.n
@@ -161,22 +134,28 @@ def _component_charfn(family: Family, shared, value: Fraction, t: float) -> comp
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         if p == 0.0:
             # degenerate zero-mass component
-            return 0.0 + 0.0j
+            return np.zeros_like(z)
         return p / (1.0 - (1.0 - p) * z)
     if family is Family.CHI_SQUARED:
-        return (1.0 - 2.0j * t) ** (-int(value) / 2.0)
+        return (1.0 - 2.0j * ts) ** (-int(value) / 2.0)
     if family is Family.NEG_BINOMIAL:
         p = float(shared.p)
         return ((1.0 - p) / (1.0 - p * z)) ** int(value)
     raise ContractError(f"no characteristic function for {family.value}")
 
 
-def char_fn(spec: MixtureSpec, t: float) -> complex:
-    """Mixture characteristic function E[exp(itX)] in closed form."""
-    return sum(
-        complex(_component_charfn(spec.family, spec.shared, v, t)) * float(w)
-        for w, v in spec.components()
-    )
+def char_fn(spec: MixtureSpec, t):
+    """Mixture characteristic function E[exp(itX)] in closed form: a
+    ``complex`` for a scalar ``t``, an array of the shape of ``t`` for an
+    array."""
+    ts = np.asarray(t, dtype=np.float64)
+    total = np.zeros(ts.shape, dtype=np.complex128)
+    # as in Python complex arithmetic, a |t| near the float limit overflows
+    # to 0, inf or nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, v in spec.components():
+            total += _component_charfn(spec.family, spec.shared, v, ts) * float(w)
+    return complex(total) if total.ndim == 0 else total
 
 
 def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:

@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from itertools import combinations
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import ContractError, DomainError
+from .errors import CapExceededError, ContractError, DomainError
 
 
 class Family(str, Enum):
@@ -209,3 +210,25 @@ def uniform_spec(
 ) -> MixtureSpec:
     """Uniform-weight mixture over the given indices."""
     return MixtureSpec(grid=grid, indices=tuple(indices), shared=shared)
+
+
+#: Most candidates ``candidate_family`` enumerates unless given another cap.
+CANDIDATE_CAP = 100_000
+
+
+def candidate_family(
+    grid: ParameterGrid,
+    k: int,
+    shared: SharedParams = SharedParams(),
+    cap: int = CANDIDATE_CAP,
+) -> List[MixtureSpec]:
+    """All uniform k-subset mixtures on the grid, in lexicographic index
+    order."""
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+    if k > grid.size:
+        raise DomainError(f"cannot pick {k} distinct indices from {grid.size}")
+    count = math.comb(grid.size, k)
+    if count > cap:
+        raise CapExceededError(f"{count} candidates exceed the cap {cap}")
+    return [uniform_spec(grid, idx, shared) for idx in combinations(grid.indices(), k)]

@@ -12,9 +12,10 @@ import numpy as np
 from .errors import CapExceededError, DomainError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: float64 entries of working memory per evaluation block; one grid times the
-#: row length must fit in one block.
-BLOCK_FLOATS = 2**22
+#: Most float64 entries of one grid times the row length.
+GRID_CAP = 2**22
+#: float64 entries (2 MB) of one block of grid values in ``arc_max_batch``.
+_PRODUCT_BLOCK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,9 @@ def _grid(L: float, resolution: int, length: int) -> np.ndarray:
     # conjugate symmetry for real coefficients: scan [0, pi/L] only
     arc = math.pi / L
     points = max(int(resolution * arc) + 1, 9)
-    if points * length > BLOCK_FLOATS:
+    if points * length > GRID_CAP:
         raise CapExceededError(
-            f"{points} grid points x {length} coefficients exceed {BLOCK_FLOATS}"
+            f"{points} grid points x {length} coefficients exceed {GRID_CAP}"
         )
     return np.linspace(0.0, arc, points)
 
@@ -132,7 +133,7 @@ def arc_max_batch(
     table = 2.0 * np.cos(np.outer(np.arange(r.shape[0]), ts))
     table[0] = 1.0
     best = np.empty(len(distinct))
-    chunk = BLOCK_FLOATS // len(ts)
+    chunk = max(1, _PRODUCT_BLOCK_FLOATS // len(ts))
     for start in range(0, len(distinct), chunk):
         best[start : start + chunk] = (distinct[start : start + chunk] @ table).max(axis=1)
     out = np.empty(r.shape[1])

@@ -13,16 +13,19 @@ import numpy as np
 
 from .distributions import cdf, pmf_or_pdf
 from .errors import (
-    CapExceededError,
     ContractError,
     DomainError,
     FamilyMismatchError,
 )
-from .grids import DISCRETE_FAMILIES, Family, MixtureSpec, ParameterGrid, SharedParams, uniform_spec
+from .grids import (  # perfbench/tracer.py wraps mixlearn.scheffe.candidate_family
+    CANDIDATE_CAP,
+    DISCRETE_FAMILIES,
+    Family,
+    MixtureSpec,
+    candidate_family,
+)
 from .sampling import SampleDataset
 from .tv import density_crossings, discrete_truncation
-
-CANDIDATE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -160,24 +163,6 @@ def set_probability(spec: MixtureSpec, s: ScheffeSet) -> float:
         lo_v = 0.0 if math.isinf(lo) else cdf(spec, lo)
         total += hi_v - lo_v
     return total
-
-
-def candidate_family(
-    grid: ParameterGrid,
-    k: int,
-    shared: SharedParams = SharedParams(),
-    cap: int = CANDIDATE_CAP,
-) -> List[MixtureSpec]:
-    """All uniform k-subset mixtures on the grid, in lexicographic index
-    order."""
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
-    if k > grid.size:
-        raise DomainError(f"cannot pick {k} distinct indices from {grid.size}")
-    count = math.comb(grid.size, k)
-    if count > cap:
-        raise CapExceededError(f"{count} candidates exceed the cap {cap}")
-    return [uniform_spec(grid, idx, shared) for idx in combinations(grid.indices(), k)]
 
 
 #: MDE tie rule: every candidate scoring within TIE_ULPS units in the last

@@ -26,10 +26,14 @@ from .grids import (
     MixtureSpec,
     ParameterGrid,
     SharedParams,
-    uniform_spec,
+    candidate_family,
 )
 
-SURVEY_CAP = 200_000
+#: Most candidates a survey takes: C(C-1)/2 <= 200,000 pairs exactly when
+#: C <= 632.
+SURVEY_CAP = 632
+#: Most t grid points of one characteristic-function certificate.
+CHARFN_GRID_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -168,32 +172,25 @@ def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> floa
     return 0.5 * (a + b)
 
 
-# Grid values of a - b with |a - b| at most this share of a + b are evaluated
-# again with the scalar density: NumPy's exp and log may differ from the math
-# module's by a few ulps, which can flip the sign only that close to zero.
-_SIGN_MARGIN = 1e-9
-
-
 def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
     """Zero crossings of a - b located by sign scan plus bisection.
 
     The scan evaluates a - b on the grid lo, lo+step, ... (clipped at hi); each
     cell whose left value is zero or whose ends differ in sign is bisected
-    with the scalar density down to 1e-9 (times sigma for Gaussians).
+    with the same density down to 1e-9 (times sigma for Gaussians).
     """
     _check_pair(a, b)
     step = (a.shared.sigma / 100.0) if a.family is Family.GAUSSIAN else 0.05
     lo, hi = _continuous_range(a, 1e-12)
     lo2, hi2 = _continuous_range(b, 1e-12)
     lo, hi = min(lo, lo2), max(hi, hi2)
+    if a.family is Family.CHI_SQUARED and min(a.values() + b.values()) == 1:
+        # the chi-squared(1) density diverges at 0: start just inside
+        lo = float(np.nextafter(0.0, 1.0))
     diff = lambda x: pmf_or_pdf(a, x) - pmf_or_pdf(b, x)
     scale = a.shared.sigma if a.family is Family.GAUSSIAN else 1.0
     xs = _scan_grid(lo, hi, step)
-    da, db = pdf_array(a, xs), pdf_array(b, xs)
-    d = da - db
-    near_zero = ~(np.abs(d) > _SIGN_MARGIN * (da + db))
-    for i in np.flatnonzero(near_zero).tolist():
-        d[i] = diff(float(xs[i]))
+    d = pdf_array(a, xs) - pdf_array(b, xs)
     neg = d < 0.0
     cells = np.flatnonzero((d[:-1] == 0.0) | (neg[:-1] != neg[1:]))
     return [
@@ -225,8 +222,8 @@ def _tv_continuous(a: MixtureSpec, b: MixtureSpec, tol: float) -> TvInterval:
 def tv_exact(a: MixtureSpec, b: MixtureSpec, tol: float = 1e-9) -> TvInterval:
     """Two-sided interval of width <= tol around the true TV distance."""
     _check_pair(a, b)
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tolerance must be positive and finite")
     if a.family in DISCRETE_FAMILIES:
         return _tv_discrete(a, b, tol)
     return _tv_continuous(a, b, tol)
@@ -290,18 +287,26 @@ def tv_lower_bound_charfn(
     a: MixtureSpec, b: MixtureSpec, L: float, grid_points: int = 1024
 ) -> TvCertificate:
     """Max of |C_a(t) - C_b(t)| / 2 on a uniform t grid over [-pi/L, pi/L];
-    any grid point is a valid TV lower bound, so no optimality is claimed."""
+    any grid point is a valid TV lower bound, so no optimality is claimed.
+    The witness is the first grid point attaining the maximum (0.0 when
+    every value is 0)."""
     _check_pair(a, b)
+    if not 0.0 < L < math.inf:
+        raise DomainError("L must be positive and finite")
     if grid_points < 3:
         raise DomainError("need at least 3 grid points")
+    if grid_points > CHARFN_GRID_CAP:
+        raise CapExceededError(
+            f"{grid_points} grid points exceed the cap {CHARFN_GRID_CAP}"
+        )
     ts = np.linspace(-math.pi / L, math.pi / L, grid_points)
-    best_t, best_v = 0.0, 0.0
-    for t in ts:
-        v = 0.5 * abs(char_fn(a, float(t)) - char_fn(b, float(t)))
-        if v > best_v:
-            best_t, best_v = float(t), v
+    # fmax turns a nan (a closed form overflowed at huge |t|) into 0, which
+    # never becomes the witness
+    vals = np.fmax(0.5 * np.abs(char_fn(a, ts) - char_fn(b, ts)), 0.0)
+    best = int(np.argmax(vals))
+    best_t = float(ts[best]) if vals[best] > 0.0 else 0.0
     return TvCertificate(
-        method="charfn", witness_t=best_t, value=best_v, tail_term=0.0, L=L
+        method="charfn", witness_t=best_t, value=float(vals[best]), tail_term=0.0, L=L
     )
 
 
@@ -335,22 +340,21 @@ def separation_survey(
     if family not in ANALYTIC_FAMILIES:
         raise ContractError("survey applies to the analytic families")
     N = grid.max_index
+    if N < 1:
+        raise DomainError("the survey needs a grid reaching index 1 or more")
     if L is None:
         L = max(1.0, float(N) ** (1.0 / 3.0))
-    subsets = list(combinations(grid.indices(), k))
-    n_pairs = len(subsets) * (len(subsets) - 1) // 2
-    if n_pairs > SURVEY_CAP:
-        raise CapExceededError(f"{n_pairs} pairs exceed the survey cap {SURVEY_CAP}")
+    specs = candidate_family(grid, k, shared, cap=SURVEY_CAP)
+    if len(specs) < 2:
+        raise DomainError("the survey needs at least two candidates")
     rows: List[SurveyRow] = []
-    for ia, ib in combinations(range(len(subsets)), 2):
-        a = uniform_spec(grid, subsets[ia], shared)
-        b = uniform_spec(grid, subsets[ib], shared)
+    for a, b in combinations(specs, 2):
         interval = tv_exact(a, b)
         cert = tv_lower_bound_charfn(a, b, L)
         rows.append(
             SurveyRow(
-                pair_a=subsets[ia],
-                pair_b=subsets[ib],
+                pair_a=a.indices,
+                pair_b=b.indices,
                 tv_lo=interval.lo,
                 tv_hi=interval.hi,
                 charfn_bound=cert.value,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixlearn.cli import cli_dispatch
 from mixlearn.fileio import read_dataset
+from mixlearn.tv import CHARFN_GRID_CAP
 
 BINOMIAL_SPEC = """\
 family=binomial-p
@@ -409,3 +410,112 @@ def test_binomial_moments_respect_the_declared_index_range(tmp_path, capsys):
 def test_tv_littlewood_oversized_grid_exit_code(capsys, arc):
     assert cli_dispatch(["tv", "littlewood", "--coeffs", "1,-1", *arc]) == 1
     assert "exceed" in capsys.readouterr().err
+
+
+def test_learn_mde_chi_squared_with_a_dof_one_candidate(tmp_path, capsys):
+    # the default chi-squared grid starts at dof 1, whose density diverges at 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text("family=chi-squared\nindices=1,4\nmin_index=1\nmax_index=5\n")
+    data = tmp_path / "data.txt"
+    assert cli_dispatch(["simulate", "--spec", str(spec), "--samples", "20000",
+                         "--seed", "1", "--out", str(data)]) == 0
+    assert _learn(data, "--method", "mde", "--family", "chi-squared", "--k", "2",
+                  "--max-index", "5", "--truth", "1,4") == 0
+    out = capsys.readouterr().out
+    assert "recovered=1,4" in out
+    assert "success=true" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--L", "0"],
+    ["bound", "--L", "-1"],
+    ["bound", "--L", "nan"],
+    ["bound", "--L", "inf"],
+    ["bound", "--L", "1", "--grid-points", str(CHARFN_GRID_CAP + 1)],
+    ["exact", "--tol", "inf"],
+    ["exact", "--tol", "nan"],
+    ["survey", "--k", "2", "--max-index", "5", "--L", "0"],
+    ["survey", "--k", "2", "--max-index", "5", "--L", "nan"],
+    ["survey", "--k", "-1", "--max-index", "5"],
+    ["survey", "--k", "0", "--max-index", "5"],
+    ["survey", "--k", "6", "--max-index", "5"],
+    ["survey", "--k", "7", "--max-index", "5"],
+    ["survey", "--k", "1", "--max-index", "0"],
+])
+def test_tv_bad_input_exit_code(tmp_path, capsys, argv):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(POISSON_SPEC_A)
+    b.write_text(POISSON_SPEC_B)
+    command, flags = argv[0], argv[1:]
+    if command == "survey":
+        flags += ["--family", "poisson", "--out", str(tmp_path / "s.csv")]
+    else:
+        flags += ["--spec-a", str(a), "--spec-b", str(b)]
+    assert cli_dispatch(["tv", command, *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# analytic-family specs on grids up to index 8 (dof 1 included); the survey
+# flags keep its grids to at most 4 points, so each example stays quick
+TV_FAMILIES = ["gaussian", "poisson", "chi-squared", "neg-binomial"]
+TV_SPECS = st.sampled_from(TV_FAMILIES).flatmap(
+    lambda family: st.tuples(
+        st.just(family),
+        st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+        st.integers(1, 8),
+    )
+)
+TV_SHARED = {"gaussian": "sigma=1\n", "neg-binomial": "p=1/2\n"}
+TV_FLAGS = {
+    "--L": ["0", "-1", "nan", "inf", "1e-300", "1"],
+    "--tol": ["0", "-1", "nan", "inf", "1e-6"],
+    "--k": [str(k) for k in range(-1, 10)],
+    "--grid-points": ["0", "2", "3", str(CHARFN_GRID_CAP + 1)],
+}
+TV_COMMAND_FLAGS = {
+    "exact": ["--tol"],
+    "bound": ["--L", "--grid-points"],
+    "survey": ["--L", "--k"],
+    "littlewood": ["--L"],
+}
+# the flags each subcommand needs, before overrides
+TV_DEFAULTS = {"exact": {}, "bound": {"--L": "1"}, "survey": {"--k": "2"},
+               "littlewood": {"--L": "2"}}
+tv_overrides = st.lists(
+    st.sampled_from(sorted(TV_FLAGS)).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(TV_FLAGS[flag]))),
+    max_size=3,
+).map(dict)
+
+
+def _tv_spec_text(family, indices, max_index):
+    return (f"family={family}\nindices={','.join(map(str, indices))}\n"
+            f"max_index={max_index}\n{TV_SHARED.get(family, '')}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(TV_COMMAND_FLAGS)), spec_a=TV_SPECS,
+       spec_b=TV_SPECS, survey_max=st.integers(0, 3), overrides=tv_overrides,
+       coeffs=st.sampled_from(["1,-1", "1,0,1", "0", "1,2", "1,x"]))
+def test_tv_never_escapes(command, spec_a, spec_b, survey_max, overrides, coeffs):
+    flags = {**TV_DEFAULTS[command],
+             **{f: v for f, v in overrides.items() if f in TV_COMMAND_FLAGS[command]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        if command in ("exact", "bound"):
+            for name, spec in (("--spec-a", spec_a), ("--spec-b", spec_b)):
+                path = os.path.join(tmp, name[2:] + ".txt")
+                with open(path, "w") as fh:
+                    fh.write(_tv_spec_text(*spec))
+                flags[name] = path
+        elif command == "survey":
+            family = spec_a[0]
+            flags.update({"--family": family, "--max-index": str(survey_max),
+                          "--out": os.path.join(tmp, "survey.csv")})
+            if family in TV_SHARED:
+                key, value = TV_SHARED[family].strip().split("=")
+                flags["--" + key] = value
+        else:
+            flags["--coeffs"] = coeffs
+        argv = ["tv", command, *[x for item in flags.items() for x in item]]
+        rc = _dispatch_quietly(argv)
+    assert rc in (0, 1, 2)

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mixlearn import (
+    CapExceededError,
     CertificateUnavailableError,
+    DomainError,
     Family,
     FamilyMismatchError,
     ParameterGrid,
@@ -18,7 +20,7 @@ from mixlearn import (
     uniform_spec,
 )
 from mixlearn.special import normal_cdf
-from mixlearn.tv import density_crossings, discrete_truncation
+from mixlearn.tv import CHARFN_GRID_CAP, density_crossings, discrete_truncation
 
 
 def _poisson(indices, max_index=5):
@@ -178,3 +180,65 @@ def test_survey_poisson_small():
         assert 0.0 <= row.tv_lo <= row.tv_hi <= 1.0
     assert summary.min_tv_lo > 0.0
     assert summary.implied_constant > 0.0
+
+
+def test_chi_squared_one_component_crossings_and_tv():
+    # the chi-squared(1) density diverges at 0, where the crossing scan
+    # otherwise starts
+    grid = ParameterGrid(Family.CHI_SQUARED, 1, 1, 5)
+    one, two = uniform_spec(grid, (1,)), uniform_spec(grid, (2,))
+    # e^(-x/2) / sqrt(2 pi x) = e^(-x/2) / 2 at x = 2/pi
+    assert density_crossings(one, two) == [pytest.approx(2.0 / math.pi, abs=1e-9)]
+    iv = tv_exact(uniform_spec(grid, (1, 4)), uniform_spec(grid, (2, 4)))
+    # 30-digit mpmath quadrature of the half L1 distance
+    assert iv.lo <= 0.15121993280592724 <= iv.hi
+    assert iv.hi - iv.lo <= 1e-9
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_charfn_bound_needs_positive_finite_L(L):
+    with pytest.raises(DomainError, match="L must be positive and finite"):
+        tv_lower_bound_charfn(_poisson((1, 4)), _poisson((2, 3)), L)
+
+
+def test_charfn_bound_grid_points_are_capped():
+    a, b = _poisson((1, 4)), _poisson((2, 3))
+    with pytest.raises(DomainError):
+        tv_lower_bound_charfn(a, b, 1.0, grid_points=2)
+    with pytest.raises(CapExceededError):
+        tv_lower_bound_charfn(a, b, 1.0, grid_points=CHARFN_GRID_CAP + 1)
+
+
+def test_charfn_bound_witness_of_equal_mixtures_is_zero():
+    cert = tv_lower_bound_charfn(_poisson((1, 4)), _poisson((1, 4)), 1.0)
+    assert (cert.witness_t, cert.value) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tv_exact_needs_positive_finite_tol(tol):
+    with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+        tv_exact(_poisson((1, 4)), _poisson((2, 3)), tol)
+
+
+@pytest.mark.parametrize("grid,k", [
+    (ParameterGrid(Family.POISSON, 1, 0, 5), -1),
+    (ParameterGrid(Family.POISSON, 1, 0, 5), 0),
+    (ParameterGrid(Family.POISSON, 1, 0, 5), 6),  # one candidate
+    (ParameterGrid(Family.POISSON, 1, 0, 5), 7),
+    (ParameterGrid(Family.POISSON, 1, 0, 0), 1),
+    (ParameterGrid(Family.GAUSSIAN, 1, -3, 0), 1),  # N^(1/3) of N = 0
+])
+def test_survey_refuses_fewer_than_two_candidates_or_no_positive_index(grid, k):
+    gaussian = grid.family is Family.GAUSSIAN
+    shared = SharedParams(sigma=1.0) if gaussian else SharedParams()
+    with pytest.raises(DomainError):
+        separation_survey(grid.family, shared, grid, k)
+
+
+def test_survey_cap_counts_candidates_before_building_them():
+    # 633 candidates make 200,028 pairs, over the 200,000 the cap stands for;
+    # C(10^6 + 1, 2) candidates are refused without enumerating them
+    for max_index, k in ((632, 1), (10**6, 2)):
+        with pytest.raises(CapExceededError):
+            separation_survey(Family.POISSON, SharedParams(),
+                              ParameterGrid(Family.POISSON, 1, 0, max_index), k)
