@@ -93,29 +93,33 @@ def pdf_array(spec: MixtureSpec, xs) -> np.ndarray:
 
 
 def pmf_or_pdf(spec: MixtureSpec, x: Real) -> float:
-    """Mixture density (continuous) or mass (discrete) at x."""
+    """Mixture density (continuous) or mass (discrete) at x.
+
+    Float sums here and in ``cdf`` are plain left-to-right loops, not
+    ``sum``, which compensates from Python 3.12 on; so results do not depend
+    on the Python version.
+    """
     if spec.family in DISCRETE_FAMILIES:
         xi = _as_count(x)
-        return sum(
-            float(w) * _component_pmf(spec.family, spec.shared, v, xi)
-            for w, v in spec.components()
-        )
+        total = 0.0
+        for w, v in spec.components():
+            total += float(w) * _component_pmf(spec.family, spec.shared, v, xi)
+        return total
     return float(pdf_array(spec, x))
 
 
 def cdf(spec: MixtureSpec, x: Real) -> float:
     """Mixture CDF, Gaussian and chi-squared families only."""
     if spec.family is Family.GAUSSIAN:
-        return sum(
-            float(w) * normal_cdf(float(x), float(v), spec.shared.sigma)
-            for w, v in spec.components()
-        )
-    if spec.family is Family.CHI_SQUARED:
-        return sum(
-            float(w) * chi_squared_cdf(int(v), float(x))
-            for w, v in spec.components()
-        )
-    raise ContractError(f"cdf unsupported for family {spec.family.value}")
+        component_cdf = lambda v: normal_cdf(float(x), float(v), spec.shared.sigma)
+    elif spec.family is Family.CHI_SQUARED:
+        component_cdf = lambda v: chi_squared_cdf(int(v), float(x))
+    else:
+        raise ContractError(f"cdf unsupported for family {spec.family.value}")
+    total = 0.0
+    for w, v in spec.components():
+        total += float(w) * component_cdf(v)
+    return total
 
 
 def _component_charfn(

@@ -14,7 +14,8 @@ from .errors import CapExceededError, DomainError
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Most float64 entries of one grid times the row length.
 GRID_CAP = 2**22
-#: float64 entries (2 MB) of one block of grid values in ``arc_max_batch``.
+#: Entries of one block of grid values in ``arc_max_batch`` (float64, 2 MB)
+#: and ``littlewood_arc_max`` (complex, 4 MB).
 _PRODUCT_BLOCK_FLOATS = 2**18
 
 
@@ -59,10 +60,13 @@ def littlewood_arc_max(
     """(t*, value): a certified lower bound on max |A(e^{it})| over the arc,
     from a uniform grid refined by golden-section search."""
     ts = _grid(L, resolution, len(poly.coefficients))
-    vals = np.abs(
-        np.exp(1j * np.outer(ts, np.arange(len(poly.coefficients))))
-        @ np.array(poly.coefficients, dtype=np.float64)
-    )
+    k = np.arange(len(poly.coefficients))
+    coeffs = np.array(poly.coefficients, dtype=np.float64)
+    vals = np.empty(len(ts))
+    chunk = max(1, _PRODUCT_BLOCK_FLOATS // len(k))
+    for start in range(0, len(ts), chunk):
+        block = np.exp(1j * np.outer(ts[start : start + chunk], k))
+        vals[start : start + chunk] = np.abs(block @ coeffs)
     best = int(np.argmax(vals))
     lo = ts[max(best - 1, 0)]
     hi = ts[min(best + 1, len(ts) - 1)]

@@ -1,5 +1,5 @@
 """Integer-coefficient moment polynomials and the combinatorial tables
-(Stirling, Eulerian, falling factorials) they are built from.
+(Stirling numbers, falling factorials) they are built from.
 """
 
 from __future__ import annotations
@@ -7,8 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import List, Sequence, Tuple
+from math import comb, factorial
+from typing import List, Tuple
 
 from .errors import DegeneracyError, ContractError
 from .grids import Family
@@ -86,60 +86,6 @@ def stirling2(ell: int, j: int) -> int:
     return stirling2_row(ell)[j]
 
 
-@lru_cache(maxsize=None)
-def eulerian_row(ell: int) -> Tuple[int, ...]:
-    """Eulerian numbers <ell, 0..ell-1>; empty for ell = 0."""
-    if ell == 0:
-        return ()
-    if ell == 1:
-        return (1,)
-    prev = eulerian_row(ell - 1)
-    row = []
-    for j in range(ell):
-        left = (j + 1) * prev[j] if j < len(prev) else 0
-        right = (ell - j) * prev[j - 1] if 0 <= j - 1 < len(prev) else 0
-        row.append(left + right)
-    return tuple(row)
-
-
-def eulerian(ell: int, j: int) -> int:
-    row = eulerian_row(ell)
-    return row[j] if 0 <= j < len(row) else 0
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _binomial_moment(n: int, ell: int) -> IntegerPolynomial:
-    # E X^ell = sum_j S(ell,j) (n)_j p^j; degree exactly ell needs n >= ell.
-    if ell > 0 and n < ell:
-        raise DegeneracyError(
-            f"binomial moment of order {ell} degenerates for n={n} < {ell}"
-        )
-    coeffs = [stirling2(ell, j) * falling_factorial(n, j) for j in range(ell + 1)]
-    return IntegerPolynomial(tuple(coeffs))
-
-
-def _geometric_u_moment(ell: int) -> IntegerPolynomial:
-    # E X^ell = sum_j <ell,j> u^j (u-1)^(ell-j), a degree-ell polynomial in
-    # u = 1/p with leading coefficient ell!.
-    if ell == 0:
-        return IntegerPolynomial((1,))
-    acc = [0] * (ell + 1)
-    for j in range(ell):
-        term = [0] * j + [eulerian(ell, j)]  # <ell,j> * u^j
-        for _ in range(ell - j):
-            term = _poly_mul(term, [-1, 1])  # * (u - 1)
-        for d, c in enumerate(term):
-            acc[d] += c
-    return IntegerPolynomial(tuple(acc))
-
-
 def _geometric_pmf_poly(ell: int) -> IntegerPolynomial:
     # Pr(X = ell) = (1-p)^ell p = sum_j C(ell,j) (-1)^j p^(j+1), degree ell+1.
     coeffs = [0] * (ell + 2)
@@ -151,21 +97,37 @@ def _geometric_pmf_poly(ell: int) -> IntegerPolynomial:
 def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
     """Integer polynomial giving a raw moment (or pmf value) per family.
 
-    * binomial-p: E X^ell as a polynomial in p (needs shared.n >= ell)
-    * geometric-u: E X^ell as a polynomial in u = 1/p
+    Raw moments are E X^ell = sum_j S(ell, j) E[(X)_j], with the factorial
+    moments E[(X)_j] = c_j y^j; the coefficients in y are S(ell, j) c_j.
+
+    * poisson: E X^ell in lam, c_j = 1 (the Touchard polynomial)
+    * binomial-p: E X^ell in p, c_j = (n)_j (needs shared.n >= ell)
+    * geometric-u: E X^ell in u = 1/p, y = u - 1, c_j = j!
     * geometric-p: Pr(X = ell) as a polynomial in p, degree ell + 1
-    * poisson: E X^ell as the Touchard polynomial sum_j S(ell, j) lam^j
     """
     if ell < 0:
         raise ContractError("moment order must be nonnegative")
+    if family is Family.POISSON:
+        return IntegerPolynomial(stirling2_row(ell))
     if family is Family.BINOMIAL_P:
         if shared is None or shared.n is None:
             raise ContractError("binomial-p moment polynomial needs n")
-        return _binomial_moment(shared.n, ell)
+        n = shared.n
+        # degree exactly ell needs n >= ell
+        if ell > 0 and n < ell:
+            raise DegeneracyError(
+                f"binomial moment of order {ell} degenerates for n={n} < {ell}"
+            )
+        return IntegerPolynomial(tuple(
+            s * falling_factorial(n, j) for j, s in enumerate(stirling2_row(ell))
+        ))
     if family is Family.GEOMETRIC_U:
-        return _geometric_u_moment(ell)
+        c = [s * factorial(j) for j, s in enumerate(stirling2_row(ell))]
+        # expand sum_j c[j] (u - 1)^j in u; leading coefficient ell!
+        return IntegerPolynomial(tuple(
+            sum(c[j] * comb(j, i) * (-1) ** (j - i) for j in range(i, ell + 1))
+            for i in range(ell + 1)
+        ))
     if family is Family.GEOMETRIC_P:
         return _geometric_pmf_poly(ell)
-    if family is Family.POISSON:
-        return IntegerPolynomial(stirling2_row(ell))
     raise ContractError(f"no moment polynomial for family {family.value}")

@@ -18,6 +18,9 @@ from mixlearn.littlewood import all_coefficient_rows, arc_max_batch
 from mixlearn.powersums import power_sum_signature
 from mixlearn.tv import g_transform
 
+# np.trapezoid is NumPy >= 2.0 and np.trapz is gone from 2.4 on
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 # minimum grid-evaluated arc maximum over all nonzero {-1,0,1} vectors of
 # length <= 12, from the one-time exhaustive sweep (scripts/littlewood_oracle.py,
 # resolution 4096): 1.0, 1.0, 0.7380174...; frozen with a safety margin that
@@ -124,7 +127,7 @@ def test_criterion_06_g_transform_identities():
             g = g_transform(mx.Family.GAUSSIAN, mx.SharedParams(sigma=1.0), t)
             xs = np.linspace(mu - 12.0, mu + 12.0, 200_001)
             dens = np.exp(-0.5 * (xs - mu) ** 2) / math.sqrt(2.0 * math.pi)
-            total = np.trapezoid(dens * np.exp(1j * t * xs), xs)
+            total = trapezoid(dens * np.exp(1j * t * xs), xs)
             worst = max(worst, abs(total - g.expected(mu)))
     # Poisson: truncated pmf sum
     for lam in range(1, 6):
@@ -147,7 +150,7 @@ def test_criterion_06_g_transform_identities():
                 * np.exp(-(0.5 - s) * ys**2)
                 / (2 ** (dof / 2.0) * math.gamma(dof / 2.0))
             )
-            total = np.trapezoid(integrand, ys)
+            total = trapezoid(integrand, ys)
             worst = max(worst, abs(total - g.expected(dof)))
     # negative binomial: truncated sum inside the convergence arc |p w_t| < 1
     p = 0.5

@@ -270,6 +270,16 @@ def test_dataset_of_another_family_exit_code(tmp_path, capsys):
     assert "disagrees" in capsys.readouterr().err
 
 
+def test_oversize_mde_table_exit_code(tmp_path, capsys):
+    # 323 candidates are over precompute_mde's table cap
+    data = tmp_path / "data.txt"
+    data.write_text("# family=poisson\n1\n4\n")
+    rc = _learn(data, "--method", "mde", "--family", "poisson", "--k", "1",
+                "--max-index", "322")
+    assert rc == 1
+    assert "over the cap" in capsys.readouterr().err
+
+
 def test_malformed_truth_is_usage_error(tmp_path):
     data = tmp_path / "data.txt"
     data.write_text("# family=poisson\n1\n4\n")

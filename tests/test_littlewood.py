@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from mixlearn import (
     arc_max_batch,
     littlewood_arc_max,
 )
-from mixlearn.littlewood import all_coefficient_rows
+from mixlearn.littlewood import (
+    _PRODUCT_BLOCK_FLOATS,
+    GRID_CAP,
+    _grid,
+    all_coefficient_rows,
+)
 
 
 def test_coefficient_validation():
@@ -153,3 +159,21 @@ def test_batch_grid_times_row_length_is_capped():
         arc_max_batch(rows, L=1e-300)
     with pytest.raises(CapExceededError):
         arc_max_batch(rows, L=1.0, resolution=2**20)
+
+
+def test_arc_max_scratch_is_a_few_blocks():
+    # 1,884,956 grid points x 2 coefficients, just under GRID_CAP: one
+    # complex points x length matrix and its temporaries held ~100 MB
+    poly, L, resolution = LittlewoodPoly((1, -1)), 1.0, 600000
+    points = len(_grid(L, resolution, 2))
+    assert 2 * points > GRID_CAP - 2**19
+    littlewood_arc_max(poly, L)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        t, value = littlewood_arc_max(poly, L, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (t, value) == (math.pi, 2.0)
+    # the grid and its values, plus four complex blocks
+    assert peak < 2 * 8 * points + 4 * 16 * _PRODUCT_BLOCK_FLOATS

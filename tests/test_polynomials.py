@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from mixlearn import DegeneracyError, Family, SharedParams
 from mixlearn.polynomials import (
     IntegerPolynomial,
-    eulerian,
-    eulerian_row,
     falling_factorial,
     moment_polynomial,
     stirling2,
@@ -21,17 +19,6 @@ def test_stirling_recurrence(ell, j):
     assert stirling2(ell, j) == (
         j * stirling2(ell - 1, j) + stirling2(ell - 1, j - 1)
     )
-
-
-@given(st.integers(min_value=1, max_value=12))
-def test_eulerian_row_sums_to_factorial(ell):
-    assert sum(eulerian_row(ell)) == math.factorial(ell)
-
-
-def test_eulerian_small_values():
-    assert eulerian_row(3) == (1, 4, 1)
-    assert eulerian(4, 1) == 11
-    assert eulerian(4, 2) == 11
 
 
 def test_falling_factorial():
@@ -114,3 +101,41 @@ def test_geometric_pmf_polynomial():
         assert poly.degree == ell + 1
         p = Fraction(1, 4)
         assert poly(p) == (1 - p) ** ell * p
+
+
+def _weighted_sum(terms, length):
+    """sum of c * poly over (c, poly) pairs, as a coefficient list."""
+    out = [0] * length
+    for c, poly in terms:
+        for d, a in enumerate(poly):
+            out[d] += c * a
+    return out
+
+
+def test_moment_polynomials_match_independent_recurrences():
+    # Poisson: mu_(l+1) = lam * sum_j C(l, j) mu_j, as polynomials in lam
+    mus = [[1]]
+    for ell in range(20):
+        mus.append([0] + _weighted_sum(
+            [(math.comb(ell, j), mus[j]) for j in range(ell + 1)], ell + 1))
+    for ell, mu in enumerate(mus):
+        assert moment_polynomial(Family.POISSON, None, ell).coefficients == tuple(mu)
+    # geometric-u: mu_l = (u - 1) * sum_(j<l) C(l, j) mu_j, in u
+    mus = [[1]]
+    for ell in range(1, 21):
+        inner = _weighted_sum([(math.comb(ell, j), mus[j]) for j in range(ell)], ell)
+        mus.append(_weighted_sum([(-1, inner), (1, [0] + inner)], ell + 1))
+    for ell, mu in enumerate(mus):
+        assert moment_polynomial(Family.GEOMETRIC_U, None, ell).coefficients == tuple(mu)
+    # binomial: sum_x x^l C(n, x) p^x (1 - p)^(n - x), expanded in p
+    for n in range(1, 13):
+        for ell in range(n + 1):
+            expected = _weighted_sum(
+                [(x**ell * math.comb(n, x),
+                  [0] * x + [(-1) ** i * math.comb(n - x, i) for i in range(n - x + 1)])
+                 for x in range(n + 1)],
+                n + 1,
+            )
+            poly = moment_polynomial(Family.BINOMIAL_P, SharedParams(n=n), ell)
+            assert poly.coefficients == tuple(expected[: ell + 1])
+            assert not any(expected[ell + 1:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from mixlearn import (
     set_probability,
     uniform_spec,
 )
-from mixlearn.scheffe import TIE_ULPS
+from mixlearn.scheffe import MDE_TABLE_CAP, TIE_ULPS
 
 
 def _poisson(indices, max_index=5):
@@ -266,3 +267,18 @@ def test_binomial_scheffe_sets_stop_at_trial_count():
     spec = uniform_spec(grid, (1, 3), SharedParams(n=10))
     result = mde_select(candidates, data=sample(spec, 20_000, seed=4), precomputed=(sets, probs))
     assert candidates[result.winner].indices == (1, 3)
+
+
+def test_precompute_refuses_an_oversize_table_before_building_it():
+    # 322 candidates fill 16,641,282 of the 2**24 entries; 323 make 16,796,969
+    assert 322 * (322 * 321 // 2) <= MDE_TABLE_CAP < 323 * (323 * 322 // 2)
+    candidates = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 322), 1)
+    assert len(candidates) == 323
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="323 candidates"):
+            precompute_mde(candidates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 52,003 pairs alone would take several MB

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mixlearn import (
@@ -11,6 +12,7 @@ from mixlearn import (
     FamilyMismatchError,
     ParameterGrid,
     SharedParams,
+    cdf,
     g_transform,
     pmf_or_pdf,
     separation_survey,
@@ -19,8 +21,12 @@ from mixlearn import (
     tv_lower_bound_charfn,
     uniform_spec,
 )
+from mixlearn import tv
 from mixlearn.special import normal_cdf
 from mixlearn.tv import CHARFN_GRID_CAP, density_crossings, discrete_truncation
+
+# np.trapezoid is NumPy >= 2.0 and np.trapz is gone from 2.4 on
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _poisson(indices, max_index=5):
@@ -63,12 +69,10 @@ def test_tv_chi_squared_pair():
     iv = tv_exact(a, b, tol=1e-6)
     assert 0.0 < iv.lo < iv.hi < 1.0
     # cross-check by dense numeric L1 integration
-    import numpy as np
-
     xs = np.linspace(1e-9, 60, 600001)
     fa = np.array([pmf_or_pdf(a, float(x)) for x in xs[:: 100]])
     fb = np.array([pmf_or_pdf(b, float(x)) for x in xs[:: 100]])
-    approx = 0.5 * np.trapezoid(np.abs(fa - fb), xs[:: 100])
+    approx = 0.5 * trapezoid(np.abs(fa - fb), xs[:: 100])
     assert abs(0.5 * (iv.lo + iv.hi) - approx) < 1e-3
 
 
@@ -112,6 +116,41 @@ def test_discrete_truncation_certifies_tail():
     r = discrete_truncation(spec, 1e-9)
     remaining = 1.0 - sum(pmf_or_pdf(spec, x) for x in range(r))
     assert remaining <= 1e-9
+
+
+def _truncation_cases():
+    geometric = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 16), 1, 15)
+    neg_binomial = ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 8)
+    return [
+        (uniform_spec(geometric, (1, 3)), 322),
+        (_poisson((7, 30), max_index=30), 81),
+        (_poisson((1, 4)), None),
+        (_poisson((0,)), None),
+        (uniform_spec(ParameterGrid(Family.GEOMETRIC_U, 1, 1, 12), (2, 11)), None),
+        (uniform_spec(neg_binomial, (3, 8), SharedParams(p=Fraction(1, 3))), None),
+    ]
+
+
+def test_discrete_truncation_is_the_smallest_certified_point():
+    for spec, known in _truncation_cases():
+        for target in (0.5, 1e-3, 5e-10, 1e-12):
+            r = 1  # brute-force scan
+            while tv._mass_tail_bound(spec, r) > target:
+                r += 1
+            assert discrete_truncation(spec, target) == r
+            if known is not None and target == 5e-10:
+                assert r == known
+
+
+def test_discrete_truncation_evaluates_about_two_log_r_bounds(monkeypatch):
+    calls = []
+    bound = tv._mass_tail_bound
+    monkeypatch.setattr(tv, "_mass_tail_bound",
+                        lambda spec, r: calls.append(r) or bound(spec, r))
+    for spec, _ in _truncation_cases():
+        calls.clear()
+        r = discrete_truncation(spec, 5e-10)
+        assert len(calls) <= 2 * math.ceil(math.log2(r)) + 2
 
 
 def test_tail_certificate_bounds_true_tail():
@@ -242,3 +281,53 @@ def test_survey_cap_counts_candidates_before_building_them():
         with pytest.raises(CapExceededError):
             separation_survey(Family.POISSON, SharedParams(),
                               ParameterGrid(Family.POISSON, 1, 0, max_index), k)
+
+
+def _compensated_sum(terms):
+    """``sum`` of floats from Python 3.12 on (Neumaier's compensation)."""
+    total = comp = 0.0
+    for t in terms:
+        new = total + t
+        if abs(total) >= abs(t):
+            comp += (total - new) + t
+        else:
+            comp += (t - new) + total
+        total = new
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def _plain_sum(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def test_mixture_mass_and_cdf_sum_left_to_right():
+    # inputs where Python 3.12's compensated sum differs from a plain loop
+    poisson = ParameterGrid(Family.POISSON, 1, 0, 5)
+    gaussian = ParameterGrid(Family.GAUSSIAN, 1, 0, 5)
+    sigma = SharedParams(sigma=1.0)
+    cases = [
+        (poisson, SharedParams(), pmf_or_pdf, (0, 1, 2), 0),
+        (poisson, SharedParams(), pmf_or_pdf, (1, 2, 4), 3),
+        (poisson, SharedParams(), pmf_or_pdf, (1, 3, 4), 8),
+        (gaussian, sigma, cdf, (0, 1, 2), -1.75),
+        (gaussian, sigma, cdf, (0, 1, 3), -0.5),
+    ]
+    for grid, shared, f, indices, x in cases:
+        spec = uniform_spec(grid, indices, shared)
+        terms = [float(w) * f(uniform_spec(grid, (i,), shared), x)
+                 for w, i in zip(spec.weights, indices)]
+        assert _compensated_sum(terms) != _plain_sum(terms)
+        assert f(spec, x) == _plain_sum(terms)
+
+
+def test_discrete_tv_sums_left_to_right():
+    for a, b in (((0, 1), (0, 3)), ((0, 1), (1, 2)), ((0, 2), (0, 4))):
+        a, b = _poisson(a), _poisson(b)
+        iv = tv_exact(a, b)
+        terms = [abs(pmf_or_pdf(a, x) - pmf_or_pdf(b, x))
+                 for x in range(int(iv.x_max))]
+        assert _compensated_sum(terms) != _plain_sum(terms)
+        assert iv.lo == 0.5 * _plain_sum(terms)
