@@ -172,8 +172,18 @@ def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
         raise ContractError(
             f"exact moments unsupported for family {spec.family.value}"
         )
-    poly = moment_polynomial(spec.family, spec.shared, ell)
-    return sum((w * poly(v) for w, v in spec.components()), Fraction(0))
+    coeffs = moment_polynomial(spec.family, spec.shared, ell).coefficients
+    degree = len(coeffs) - 1
+    total = Fraction(0)
+    for w, v in spec.components():
+        # Horner on the integer numerator of p(a/b) * b^degree
+        a, b = v.numerator, v.denominator
+        num, scale = 0, 1
+        for c in reversed(coeffs):
+            num = num * a + c * scale
+            scale *= b
+        total += Fraction(w.numerator * num, w.denominator * b**degree)
+    return total
 
 
 def mixture_pmf_exact(spec: MixtureSpec, x: int) -> Fraction:
@@ -188,10 +198,14 @@ def mixture_pmf_exact(spec: MixtureSpec, x: int) -> Fraction:
 
 
 def mgf_a2x(family: Family, shared, value: Fraction, a: float) -> float:
-    """E[a^(2X)] for one component, used by tail certificates."""
+    """E[a^(2X)] for one component, used by tail certificates; inf where
+    it diverges or passes the float range."""
     a2 = a * a
     if family is Family.POISSON:
-        return math.exp(float(value) * (a2 - 1.0))
+        try:
+            return math.exp(float(value) * (a2 - 1.0))
+        except OverflowError:
+            return math.inf
     if family is Family.BINOMIAL_P:
         p = float(value)
         return (1.0 - p + p * a2) ** shared.n

@@ -93,18 +93,14 @@ def round_to_lattice(value: Fraction, spacing: Fraction) -> LatticeRounding:
     value, spacing = Fraction(value), Fraction(spacing)
     if spacing <= 0:
         raise DomainError("lattice spacing must be positive")
-    q = value / spacing
-    lo = q.numerator // q.denominator
-    frac = q - lo
-    if frac > Fraction(1, 2):
-        n = lo + 1
-    elif frac < Fraction(1, 2):
-        n = lo
-    else:
-        n = lo if lo % 2 == 0 else lo + 1
-    rounded = n * spacing
-    residual = abs(value - rounded) / spacing
-    return LatticeRounding(rounded, residual, residual > RESIDUAL_WARNING)
+    # value / spacing = num / den with den > 0; floor it, then step up when
+    # the remainder passes one half, or equals it with an odd floor
+    den = value.denominator * spacing.numerator
+    n, rem = divmod(value.numerator * spacing.denominator, den)
+    if 2 * rem > den or (2 * rem == den and n % 2):
+        n, rem = n + 1, den - rem
+    residual = Fraction(rem, den)
+    return LatticeRounding(n * spacing, residual, residual > RESIDUAL_WARNING)
 
 
 def moment_lattice_spacing(step: Fraction, k: int, ell: int) -> Fraction:

@@ -94,8 +94,10 @@ def _geometric_pmf_poly(ell: int) -> IntegerPolynomial:
     return IntegerPolynomial(tuple(coeffs))
 
 
+@lru_cache(maxsize=1024)
 def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
     """Integer polynomial giving a raw moment (or pmf value) per family.
+    Cached: it depends on (family, shared, ell) only, and is immutable.
 
     Raw moments are E X^ell = sum_j S(ell, j) E[(X)_j], with the factorial
     moments E[(X)_j] = c_j y^j; the coefficients in y are S(ell, j) c_j.

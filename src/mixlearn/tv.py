@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -101,9 +103,32 @@ def _mass_tail_bound(spec: MixtureSpec, r: int) -> float:
             a = math.sqrt(0.5 * (1.0 + 1.0 / float(spec.shared.p)))
         else:
             raise ContractError(f"no tail rule for {fam.value}")
-        # mass tail from the a^x certificate: sum_{x>=r} f <= E[a^2X]/a^(2r-1)
-        total += float(w) * mgf_a2x(fam, spec.shared, v, a) / a ** (2 * r - 1)
+        total += _certificate_tail(w, mgf_a2x(fam, spec.shared, v, a), a, r)
     return total
+
+
+def _certificate_tail(weight: Fraction, mgf: float, a: float, r: int) -> float:
+    """weight * E[a^2X] / a^(2r-1): the a^x certificate's bound on one
+    component's mass at or beyond r.
+
+    Where the float quotient overflows or leaves the normal range it is
+    taken in log space, widened by a margin for the rounding of the logs and
+    rounded up by one ulp: an underflow gives the smallest positive float,
+    never 0, so the result stays an upper bound.
+    """
+    try:
+        bound = float(weight) * mgf / a ** (2 * r - 1)
+        if bound >= sys.float_info.min:
+            return bound
+    except OverflowError:
+        pass
+    logs = (
+        math.log(weight.numerator) - math.log(weight.denominator),
+        math.log(mgf),
+        -(2 * r - 1) * math.log(a),
+    )
+    margin = 8 * sys.float_info.epsilon * sum(map(abs, logs))
+    return math.nextafter(math.exp(sum(logs) + margin), math.inf)
 
 
 def discrete_truncation(spec: MixtureSpec, target: float) -> int:

@@ -127,6 +127,32 @@ def test_tv_exact_and_bound(tmp_path, capsys):
     assert value <= tv_hi + 1e-12
 
 
+@pytest.mark.parametrize("tol", ["1e-308", "1e-320", "5e-324"])
+def test_tv_exact_at_tolerances_near_the_float_floor(tmp_path, capsys, tol):
+    # the tail bound's a^(2r-1) leaves the float range at these tolerances
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(POISSON_SPEC_A)
+    b.write_text(POISSON_SPEC_B)
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b),
+                       "--tol", tol])
+    out, err = capsys.readouterr()
+    if rc == 0:
+        values = dict(line.split("=", 1) for line in out.splitlines())
+        assert 0.0 < float(values["tail_bound"]) <= float(tol)
+        assert 0.0 <= float(values["tv_lo"]) <= float(values["tv_hi"]) <= 1.0
+    else:
+        assert rc in (1, 2) and "error:" in err
+
+
+def test_tv_exact_poisson_rates_past_the_certificate_range(tmp_path, capsys):
+    # E[4^X] = exp(3 lambda) passes the float range for lambda = 300
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("family=poisson\nindices=300\nmax_index=310\n")
+    b.write_text("family=poisson\nindices=310\nmax_index=310\n")
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
+    assert rc == 1 and "error:" in capsys.readouterr().err
+
+
 def test_tv_exact_large_binomial(tmp_path, capsys):
     # C(2000, x) overflows a float: the pmf must switch to log space
     a = tmp_path / "a.txt"

@@ -20,6 +20,7 @@ from mixlearn import (
     uniform_spec,
 )
 from mixlearn.distributions import mgf_a2x, pdf_array
+from mixlearn.polynomials import moment_polynomial
 
 
 def _poisson_spec(indices, max_index=6):
@@ -170,6 +171,30 @@ def test_exact_pmf_geometric():
     )
     total = sum(mixture_pmf_exact(spec, x) for x in range(200))
     assert float(total) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("family, step, max_index, shared", [
+    (Family.BINOMIAL_P, Fraction(1, 7), 7, SharedParams(n=12)),
+    (Family.GEOMETRIC_U, Fraction(2, 3), 6, SharedParams()),
+    (Family.POISSON, 1, 6, SharedParams()),
+])
+def test_mixture_moment_exact_matches_the_polynomial(family, step, max_index, shared):
+    # the integer Horner path against Fraction evaluation of the polynomial
+    from itertools import combinations
+
+    grid = ParameterGrid(family, step, 0, max_index)
+    for k in (1, 2, 3):
+        for idx in combinations(grid.indices(), k):
+            spec = uniform_spec(grid, idx, shared)
+            for ell in range(0, 13):
+                poly = moment_polynomial(family, shared, ell)
+                expected = sum((w * poly(v) for w, v in spec.components()), Fraction(0))
+                assert mixture_moment_exact(spec, ell) == expected
+
+
+def test_mgf_a2x_is_infinite_past_the_float_range():
+    assert math.isinf(mgf_a2x(Family.POISSON, None, Fraction(300), 2.0))
+    assert mgf_a2x(Family.POISSON, None, Fraction(236), 2.0) == math.exp(708.0)
 
 
 def test_mgf_a2x_divergence():

@@ -80,6 +80,31 @@ def test_round_to_lattice_recovers_perturbed_lattice_points(n, spacing, rel):
     assert r.flagged == (r.residual > Fraction(1, 4))
 
 
+def _fraction_rounding(value, spacing):
+    """Lattice rounding by Fraction arithmetic throughout, the formula the
+    integer divmod replaced."""
+    q = value / spacing
+    lo = q.numerator // q.denominator
+    frac = q - lo
+    if frac != Fraction(1, 2):
+        n = lo + (frac > Fraction(1, 2))
+    else:
+        n = lo if lo % 2 == 0 else lo + 1
+    residual = abs(value - n * spacing) / spacing
+    return n * spacing, residual, residual > Fraction(1, 4)
+
+
+@given(st.fractions(max_denominator=10**6),
+       st.fractions(min_value=Fraction(1, 10**4), max_value=10**4),
+       st.integers(min_value=-10**6, max_value=10**6),
+       st.booleans())
+def test_round_to_lattice_matches_the_fraction_formula(value, spacing, j, tie):
+    if tie:  # an exact midpoint between two lattice points
+        value = (j + Fraction(1, 2)) * spacing
+    r = round_to_lattice(value, spacing)
+    assert (r.rounded, r.residual, r.flagged) == _fraction_rounding(value, spacing)
+
+
 def test_round_to_lattice_ties_to_even():
     assert round_to_lattice(Fraction(3, 2), 1).rounded == 2
     assert round_to_lattice(Fraction(5, 2), 1).rounded == 2

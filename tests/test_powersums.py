@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mixlearn import (
     AmbiguityError,
+    CapExceededError,
     ContractError,
     DegeneracyError,
     Family,
@@ -24,7 +26,17 @@ from mixlearn import (
     verify_identifiability,
 )
 from mixlearn.polynomials import moment_polynomial
-from mixlearn.powersums import PowerSumVector, _index_coefficients
+from mixlearn.powersums import (
+    ENUMERATION_CAP,
+    IdentifiabilityReport,
+    PowerSumVector,
+    _digit_multiplicities,
+    _object_at,
+    _positional_power_sums,
+    _refine,
+    _solve_coefficients,
+)
+import numpy as np
 
 
 def test_power_sum_signature():
@@ -215,10 +227,116 @@ def test_exhaustive_brute_force_matches_signatures():
             assert reconstruct_multiset(m, domain) == multiset
 
 
-def test_index_coefficients_are_shared_immutable_compositions():
+def test_solve_coefficients_are_shared_integer_compositions():
     shared = SharedParams(n=12)
-    d = _index_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)
-    assert isinstance(d, tuple)
-    assert list(d) == moment_polynomial(Family.BINOMIAL_P, shared, 5).compose_affine(
-        0, Fraction(1, 8))
-    assert _index_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5) is d
+    den, d = _solve_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)
+    assert isinstance(d, tuple) and all(type(c) is int for c in d)
+    assert [Fraction(c, den) for c in d] == moment_polynomial(
+        Family.BINOMIAL_P, shared, 5).compose_affine(0, Fraction(1, 8))
+    assert _solve_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)[1] is d
+
+
+def _reference_identifiability(n, q=2, mode="sets", T=None):
+    """The dict-keyed sweep the array refinement replaced: Python tuples in
+    ``combinations`` / q-ary order, grouped by size, then split order by
+    order on ``sum(v**order)``."""
+    T_theorem = log_of_theorem_bound(n, q, mode)
+    T_max = T if T is not None else T_theorem
+    if mode == "sets":
+        objects = [obj for size in range(n + 1) for obj in combinations(range(n), size)]
+    else:
+        objects = [()]
+        for v in range(n):
+            objects = [obj + (v,) * mult for obj in objects for mult in range(q)]
+    groups = {}
+    for i, obj in enumerate(objects):
+        groups.setdefault((len(obj),), []).append(i)
+
+    def witness(grps):
+        for members in grps.values():
+            if len(members) > 1:
+                return objects[members[0]], objects[members[1]]
+        return None
+
+    T_minimal = None
+    collision = None
+    order = 0
+    while order < T_max:
+        order += 1
+        nxt = {}
+        for key, members in groups.items():
+            if len(members) == 1:
+                nxt[key] = members
+                continue
+            for i in members:
+                sig = key + (sum(v**order for v in objects[i]),)
+                nxt.setdefault(sig, []).append(i)
+        groups = nxt
+        if order == T_theorem - 1:
+            pair = witness(groups)
+            if pair is not None:
+                collision = (pair[0], pair[1], order)
+        if T_minimal is None and all(len(v) == 1 for v in groups.values()):
+            T_minimal = order
+    if T_minimal is None:
+        pair = witness(groups)
+        if pair is not None:
+            collision = (pair[0], pair[1], T_max)
+        T_minimal = T_max + 1
+    return IdentifiabilityReport(
+        n=n, q=q, mode=mode, T_theorem=T_theorem, T_minimal=max(1, T_minimal),
+        collision=collision, object_count=len(objects),
+    )
+
+
+IDENTIFIABILITY_CASES = (
+    [(n, 2, "sets") for n in range(1, 13)]
+    + [(n, q, "multisets") for q in (2, 3, 4) for n in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("n, q, mode", IDENTIFIABILITY_CASES)
+def test_verify_identifiability_matches_the_dict_reference(n, q, mode):
+    for T in (None, 1, 2, 3, 4, 5, 6):
+        assert verify_identifiability(n, q, mode, T) == _reference_identifiability(
+            n, q, mode, T)
+
+
+def test_positional_power_sums_past_the_int64_limit():
+    n, ell = 12, 18  # 11**18 * 12 > 2**63
+    mults = _digit_multiplicities(n, 2, "sets")
+    positions = np.array([0, 1, 2**11, 2**12 - 2])
+    sums = _positional_power_sums(n, mults, ell, positions)
+    assert all(type(s) is int for s in sums)
+    assert list(sums) == [
+        power_sum_signature(_object_at(n, mults, int(p)), ell)[ell] for p in positions]
+    # the int64 path agrees with the signature below the limit
+    sums = _positional_power_sums(n, mults, 12, np.arange(2**n))
+    assert [int(s) for s in sums] == [
+        power_sum_signature(_object_at(n, mults, p), 12)[12] for p in range(2**n)]
+
+
+def test_refine_splits_by_values_too_wide_for_an_int64_key():
+    positions = np.arange(6, dtype=np.int32)
+    groups = np.array([0, 0, 0, 1, 1, 1])
+    small = np.array([5, 7, 5, 2, 2, 9])
+    wide = [2**70 + int(v) for v in small]  # Python ints, as past the int64 limit
+    for values in (np.array(wide, dtype=object), np.array([2**62, 0, 2**62, 1, 1, 3])):
+        kept, ids = _refine(positions, groups, values)
+        assert sorted(zip(ids.tolist(), kept.tolist())) == [(0, 0), (0, 2), (1, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("n, q, mode", [
+    (ENUMERATION_CAP.bit_length(), 2, "sets"),
+    (12, 4, "multisets"),
+    (10**9, 2, "sets"),
+])
+def test_over_cap_sweep_raises_before_allocating(n, q, mode):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            verify_identifiability(n, q, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -142,6 +142,21 @@ def test_discrete_truncation_is_the_smallest_certified_point():
                 assert r == known
 
 
+def test_mass_tail_bound_stays_certified_past_the_float_range():
+    # 2^(2r-1) overflows a float from r = 513 on; the bound is then taken in
+    # log space and must still be above the exact value of the formula,
+    # positive after the quotient underflows, and nonincreasing in r
+    spec = _poisson((1, 4))
+    bounds = [tv._mass_tail_bound(spec, r) for r in range(500, 600)]
+    for r, bound in zip(range(500, 600), bounds):
+        exact = sum(
+            w * Fraction(tv.mgf_a2x(Family.POISSON, None, v, 2.0)) / 2 ** (2 * r - 1)
+            for w, v in spec.components())
+        assert bound > 0.0 and Fraction(bound) >= exact
+    assert all(x >= y for x, y in zip(bounds, bounds[1:]))
+    assert bounds[-1] == 2 * math.nextafter(0.0, 1.0)  # the least float per component
+
+
 def test_discrete_truncation_evaluates_about_two_log_r_bounds(monkeypatch):
     calls = []
     bound = tv._mass_tail_bound
