@@ -9,9 +9,10 @@ algebra never sees floating-point error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -196,13 +197,23 @@ class MixtureSpec:
     def k(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def _values(self) -> Tuple[Fraction, ...]:
+        # kept in the instance dict on first use; not being a field, it is
+        # ignored by equality and hashing, and __getstate__ leaves it out
+        # of pickles
+        return tuple(self.grid.value(i) for i in self.indices)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def values(self) -> Tuple[Fraction, ...]:
         """Component parameter values, in index order."""
-        return tuple(self.grid.value(i) for i in self.indices)
+        return self._values
 
     def components(self) -> Sequence[Tuple[Fraction, Fraction]]:
         """(weight, parameter value) pairs."""
-        return list(zip(self.weights, self.values()))
+        return list(zip(self.weights, self._values))
 
 
 def uniform_spec(

@@ -7,6 +7,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .distributions import mixture_moment_exact, mixture_pmf_exact
@@ -187,6 +188,13 @@ def gaussian_grid_from_data(
     return ParameterGrid(Family.GAUSSIAN, Fraction(eps), lo, hi)
 
 
+@lru_cache(maxsize=4)
+def _candidates(grid: ParameterGrid, k: int, shared: SharedParams) -> Tuple[MixtureSpec, ...]:
+    """``candidate_family(grid, k, shared)``, built once while it is among
+    the last four asked for (a family can hold ``CANDIDATE_CAP`` specs)."""
+    return tuple(candidate_family(grid, k, shared))
+
+
 def learn_mde(
     data: Optional[SampleDataset],
     family: Family,
@@ -200,7 +208,7 @@ def learn_mde(
     """Minimum-distance estimation over all distinct k-subsets of the grid."""
     if family not in ANALYTIC_FAMILIES:
         raise ContractError(f"MDE learner covers the analytic families only")
-    candidates = candidate_family(grid, k, shared)
+    candidates = _candidates(grid, k, shared)
     if oracle_spec is not None:
         result = mde_select(candidates, truth=oracle_spec, precomputed=precomputed)
         samples_used = 0
@@ -340,6 +348,21 @@ def _run_trial(config: ExperimentConfig, trial: int, precomputed) -> TrialRow:
     )
 
 
+#: (config, precomputed) of the experiment a pool worker runs trials of,
+#: sent once per worker by ``_start_worker``, the pool's initializer
+_worker_experiment = None
+
+
+def _start_worker(config: ExperimentConfig, precomputed) -> None:
+    global _worker_experiment
+    _worker_experiment = (config, precomputed)
+
+
+def _worker_trial(trial: int) -> TrialRow:
+    config, precomputed = _worker_experiment
+    return _run_trial(config, trial, precomputed)
+
+
 def worker_count() -> int:
     """Parallelism cap from MIXLEARN_THREADS (0 or unset = auto -> 1)."""
     raw = os.environ.get("MIXLEARN_THREADS", "0")
@@ -359,18 +382,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _route(config.method, config.family)  # before any precompute or sampling
     precomputed = None
     if config.method == "mde":
-        candidates = candidate_family(config.grid(), config.k, config.shared())
-        precomputed = precompute_mde(candidates)
+        precomputed = precompute_mde(_candidates(config.grid(), config.k, config.shared()))
     workers = worker_count()
     trials = list(range(config.trials))
     if workers > 1 and not config.oracle:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_run_trial, [config] * len(trials), trials,
-                         [precomputed] * len(trials))
-            )
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(config, precomputed)) as pool:
+            rows = list(pool.map(_worker_trial, trials))
     else:
         rows = [_run_trial(config, i, precomputed) for i in trials]
     return ExperimentReport(

@@ -1,7 +1,11 @@
+import hashlib
+import math
 from fractions import Fraction
+from typing import List, Optional, Union
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mixlearn import (
     DomainError,
@@ -14,7 +18,10 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
+from mixlearn.grids import DISCRETE_FAMILIES
 from mixlearn.fileio import (
+    _BLOCK_LINES,
+    _parse_family,
     config_from_text,
     config_to_text,
     format_rational,
@@ -221,3 +228,173 @@ def test_discrete_float_array_beyond_float_precision_is_domain_error(value):
     with pytest.raises(DomainError):
         SampleDataset(Family.POISSON, np.array([1.0, value]))
     assert SampleDataset(Family.POISSON, np.array([2.0**53 - 1])).values.tolist() == [2**53 - 1]
+
+
+def _reference_read_dataset(path) -> SampleDataset:
+    """The per-line reader the block reader replaced: every line through
+    ``float``, integers of magnitude 2**53 or more kept as exact ints, and
+    the dtype chosen once the whole file is read."""
+    family: Optional[Family] = None
+    seed: Optional[int] = None
+    spec_lines: List[str] = []
+    values: List[Union[float, int]] = []
+    all_integral = True
+    wide_line: Optional[int] = None  # first integral value outside int64
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("family="):
+                    family = _parse_family(body[len("family="):], line=lineno)
+                elif body.startswith("seed="):
+                    try:
+                        seed = int(body[len("seed="):])
+                    except ValueError:
+                        raise ParseError(f"invalid seed {body!r}", line=lineno)
+                elif body.startswith("spec:"):
+                    spec_lines.append(body[len("spec:"):])
+                continue
+            try:
+                v = float(line)
+            except ValueError:
+                raise ParseError(f"invalid value {line!r}", line=lineno)
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {line!r}", line=lineno)
+            if v != int(v) or "." in line or "e" in line or "E" in line:
+                all_integral = False
+            elif not -(2**53) < v < 2**53:
+                # float() rounds integers of this size; keep the exact value
+                v = int(line)
+                if wide_line is None and not -(2**63) <= v < 2**63:
+                    wide_line = lineno
+            values.append(v)
+    if family is None:
+        raise ParseError("dataset is missing the '# family=…' header")
+    if family in DISCRETE_FAMILIES and all_integral:
+        if wide_line is not None:
+            raise ParseError("value does not fit a 64-bit integer", line=wide_line)
+        arr = np.array(values, dtype=np.int64)
+    else:
+        arr = np.array(values, dtype=np.float64)
+    spec_text = "\n".join(spec_lines) if spec_lines else None
+    return SampleDataset(family=family, values=arr, seed=seed, spec_text=spec_text)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` gives: the dataset's fields with its values as
+    bytes, or the error's type, message and line."""
+    try:
+        data = read(path)
+    except Exception as exc:  # compared, not swallowed
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    values = data.values
+    return (data.family, data.seed, data.spec_text, values.dtype, values.tobytes())
+
+
+_SPECIAL_LINES = [
+    "", "   ", "\t", "#", "# a note", "# seed=5", "# seed=x", "# spec:k=2",
+    "# family=poisson", "# family=gaussian", "# family=bogus",
+    "0", "-0", "-0.0", "1.0", "1e3", "1E3", "2.5", "-7", "+4", " 12 ", "1_000",
+    str(2**53), str(-(2**53)), str(2**53 + 1), str(-(2**53) - 1),
+    str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1), str(2**64),
+    "9.007199254740993e15", "1e19", "-1e19", "1e400",
+    "nan", "inf", "-inf", "Infinity", "abc", "1,5", "0x10", "1 2", "--1", "\u0661\u0662",
+]
+
+_line = st.one_of(st.sampled_from(_SPECIAL_LINES),
+                  st.text(alphabet="0123456789.eE+-# _xn\t", max_size=6))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    header=st.lists(st.sampled_from([
+        "# family=poisson", "# family=binomial-p", "# family=gaussian",
+        "# family=chi-squared", "# seed=3", "# spec:indices=1,4", "",
+    ]), max_size=4),
+    filler=st.sampled_from(["ints", "floats"]),
+    seed=st.integers(0, 2**16),
+    extra=st.integers(1, _BLOCK_LINES),
+    inserts=st.lists(st.tuples(st.floats(0, 1), _line), max_size=6),
+    near_boundary=st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(-2, 1), _line),
+                           max_size=3),
+    crlf=st.booleans(),
+)
+def test_block_reader_matches_the_per_line_reference(
+        tmp_path_factory, header, filler, seed, extra, inserts, near_boundary, crlf):
+    # bodies of two blocks and more, with odd lines anywhere and at the edges
+    rng = np.random.default_rng(seed)
+    n = 2 * _BLOCK_LINES + extra
+    if filler == "ints":
+        body = [str(v) for v in rng.integers(0, 20, n).tolist()]
+    else:
+        body = [repr(v) for v in rng.normal(0.0, 3.0, n).tolist()]
+    for where, line in inserts:
+        body.insert(int(where * len(body)), line)
+    for block, offset, line in near_boundary:
+        body.insert(block * _BLOCK_LINES + offset, line)
+    end = "\r\n" if crlf else "\n"
+    path = tmp_path_factory.mktemp("fuzz") / "data.txt"
+    path.write_bytes("".join(line + end for line in header + body).encode("utf-8"))
+    assert _outcome(read_dataset, path) == _outcome(_reference_read_dataset, path)
+
+
+@pytest.mark.parametrize("family, filler, bad, message", [
+    ("poisson", "3", "x1", "invalid value 'x1'"),
+    ("poisson", "3", "nan", "non-finite value 'nan'"),
+    ("poisson", "3", str(2**63), "value does not fit a 64-bit integer"),
+    ("gaussian", "0.5", "x1", "invalid value 'x1'"),
+    ("gaussian", "0.5", "-inf", "non-finite value '-inf'"),
+    ("gaussian", "0.5", "1e400", "non-finite value '1e400'"),
+])
+def test_bad_value_past_the_first_block_keeps_its_line_number(
+        tmp_path, family, filler, bad, message):
+    lines = [f"# family={family}", "# seed=1"] + [filler] * 30_000
+    lines[20_000 - 1] = bad
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert 20_000 > _BLOCK_LINES + 2
+    with pytest.raises(ParseError) as exc:
+        read_dataset(path)
+    assert exc.value.line == 20_000
+    assert message in str(exc.value)
+
+
+def test_block_reader_keeps_integers_and_negative_zero_exact(tmp_path):
+    # a per-line block (a comment) holding exact ints, then bulk blocks
+    path = tmp_path / "data.txt"
+    body = ["# note", str(2**53 + 1), "-0"] + ["5"] * (2 * _BLOCK_LINES)
+    path.write_text("# family=poisson\n" + "\n".join(body) + "\n")
+    values = read_dataset(path).values
+    assert values.dtype == np.int64 and values[:3].tolist() == [2**53 + 1, 0, 5]
+    path.write_text("# family=gaussian\n" + "\n".join(body) + "\n")
+    values = read_dataset(path).values
+    assert values.dtype == np.float64
+    assert values[:2].tolist() == [2.0**53, 0.0] and math.copysign(1.0, values[1]) == -1.0
+
+
+#: sha256 of ``write_dataset`` files from ``mixlearn simulate``'s layout:
+#: 20,000 values at seed 11, stream 3, so the body spans several blocks.
+GOLDEN_DATASETS = {
+    "poisson": "eb1349492d4954da371375811734b2021b19cdd72ef4cbf3ca0f2a6c77c3a907",
+    "gaussian": "d6f43be8d9aa1c5d6542d91a9ccd04b47776f693e9f4310cab6eb6c492c7e8ee",
+}
+
+
+@pytest.mark.parametrize("spec", [
+    uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4)),
+    uniform_spec(ParameterGrid(Family.GAUSSIAN, 1, 0, 2), (0, 2), SharedParams(sigma=1.0)),
+], ids=lambda spec: spec.family.value)
+def test_written_dataset_bytes_are_frozen(tmp_path, spec):
+    data = sample(spec, 20_000, 11, 3)
+    data = SampleDataset(family=data.family, values=data.values, seed=11,
+                         spec_text=spec_to_text(spec))
+    path = tmp_path / "data.txt"
+    write_dataset(path, data)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_DATASETS[spec.family.value]
+    again = read_dataset(path)
+    assert again.values.dtype == data.values.dtype
+    assert again.values.tobytes() == data.values.tobytes()

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,17 @@ def test_spec_values_and_components():
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1)),
     ]
+
+
+def test_spec_pickles_and_compares_the_same_before_and_after_components():
+    grid = ParameterGrid(Family.GAUSSIAN, Fraction(1, 2), 0, 6)
+    spec = uniform_spec(grid, (1, 5), SharedParams(sigma=1.0))
+    fresh = pickle.dumps(spec)
+    assert pickle.loads(fresh) == spec
+    assert spec.components() == [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 2))]
+    assert spec.values() is spec.values()  # built once per spec
+    assert pickle.dumps(spec) == fresh
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec and hash(again) == hash(spec)
+    assert again.components() == spec.components()
+    assert spec == uniform_spec(grid, (1, 5), SharedParams(sigma=1.0))
