@@ -7,6 +7,7 @@ Numeric flags accept exact rationals written as ``num/den``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -35,7 +36,7 @@ from .learners import (  # perfbench/tracer.py wraps the learn_* names of this m
 )
 from .littlewood import LittlewoodPoly, littlewood_arc_max
 from .moments import plan_samples
-from .powersums import power_sum_signature, verify_identifiability, _enumerate_objects
+from .powersums import power_sum_signature, verify_identifiability, _objects_in_order
 from .sampling import sample
 from .tv import separation_survey, tv_exact, tv_lower_bound_charfn
 
@@ -208,11 +209,11 @@ def _cmd_verify_identifiability(args) -> int:
     sys.stdout.write(report.to_report())
     if args.csv:
         T = args.T if args.T is not None else report.T_theorem
-        rows = [
+        rows = (
             (" ".join(str(v) for v in obj),
              " ".join(str(s) for s in power_sum_signature(obj, T)))
-            for obj in _enumerate_objects(args.n, args.q, args.mode)
-        ]
+            for obj in _objects_in_order(args.n, args.q, args.mode)
+        )
         write_csv(args.csv, ["object", "signature"], rows)
     return 0
 
@@ -290,10 +291,14 @@ _DISPATCH = {
 }
 
 
+# parse_args returns a fresh namespace on every call, so one parser serves
+# the whole process
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -201,24 +201,24 @@ def mgf_a2x(family: Family, shared, value: Fraction, a: float) -> float:
     """E[a^(2X)] for one component, used by tail certificates; inf where
     it diverges or passes the float range."""
     a2 = a * a
-    if family is Family.POISSON:
-        try:
+    try:
+        if family is Family.POISSON:
             return math.exp(float(value) * (a2 - 1.0))
-        except OverflowError:
-            return math.inf
-    if family is Family.BINOMIAL_P:
-        p = float(value)
-        return (1.0 - p + p * a2) ** shared.n
-    if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
-        p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
-        if p == 0.0:
-            return math.inf
-        if (1.0 - p) * a2 >= 1.0:
-            return math.inf
-        return p / (1.0 - (1.0 - p) * a2)
-    if family is Family.NEG_BINOMIAL:
-        p = float(shared.p)
-        if p * a2 >= 1.0:
-            return math.inf
-        return ((1.0 - p) / (1.0 - p * a2)) ** int(value)
+        if family is Family.BINOMIAL_P:
+            p = float(value)
+            return (1.0 - p + p * a2) ** shared.n
+        if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
+            p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
+            if p == 0.0:
+                return math.inf
+            if (1.0 - p) * a2 >= 1.0:
+                return math.inf
+            return p / (1.0 - (1.0 - p) * a2)
+        if family is Family.NEG_BINOMIAL:
+            p = float(shared.p)
+            if p * a2 >= 1.0:
+                return math.inf
+            return ((1.0 - p) / (1.0 - p * a2)) ** int(value)
+    except OverflowError:
+        return math.inf
     raise ContractError(f"E[a^2X] unavailable for family {family.value}")

@@ -9,9 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -367,17 +366,16 @@ def _digit_multiplicities(n: int, q: int, mode: str) -> Tuple[int, ...]:
     return mults
 
 
-def _enumerate_objects(n: int, q: int, mode: str) -> List[Tuple[int, ...]]:
-    _digit_multiplicities(n, q, mode)
+def _objects_in_order(n: int, q: int, mode: str) -> Iterator[Tuple[int, ...]]:
+    """Every object of a sweep, one at a time: multisets in position order
+    (the q-ary enumeration order), subsets by size, each size in
+    ``combinations`` order (a stable sort of the positions by size)."""
+    mults = _digit_multiplicities(n, q, mode)
+    positions = np.arange(len(mults) ** n)
     if mode == "sets":
-        out: List[Tuple[int, ...]] = []
-        for size in range(n + 1):
-            out.extend(combinations(range(n), size))
-        return out
-    out = [()]
-    for v in range(n):
-        out = [obj + (v,) * mult for obj in out for mult in range(q)]
-    return out
+        sizes = _positional_power_sums(n, mults, 0, positions)
+        positions = positions[np.argsort(sizes, kind="stable")]
+    return (_object_at(n, mults, p) for p in map(int, positions))
 
 
 def _object_at(n: int, mults: Tuple[int, ...], position: int) -> Tuple[int, ...]:

@@ -26,7 +26,7 @@ from .grids import (  # perfbench/tracer.py wraps mixlearn.scheffe.candidate_fam
     candidate_family,
 )
 from .sampling import SampleDataset
-from .tv import density_crossings, discrete_truncation
+from .tv import density_crossings, discrete_truncation, mass_table
 
 
 #: Most entries C * C(C-1)/2 of ``precompute_mde``'s candidate x set table,
@@ -194,11 +194,6 @@ class MdeResult:
     sets: Tuple[ScheffeSet, ...] = ()
 
 
-def _mass_table(specs: Sequence[MixtureSpec], x_max: int) -> np.ndarray:
-    """len(specs) x (x_max+1) table of masses at 0..x_max."""
-    return np.array([[pmf_or_pdf(c, x) for x in range(x_max + 1)] for c in specs])
-
-
 def _membership(sets: Sequence[ScheffeSet]) -> np.ndarray:
     """(x_max+1) x len(sets) 0/1 matrix of the discrete sets' points."""
     sizes = [len(s.points) for s in sets]
@@ -270,7 +265,7 @@ def precompute_mde(
         probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
         return sets, probs
     x_max = max(_set_x_max(c) for c in candidates)
-    masses = _mass_table(candidates, x_max)
+    masses = mass_table(candidates, x_max)
     sets = [
         scheffe_set(candidates[i], candidates[j], provenance=(i, j),
                     masses=(masses[i], masses[j]))

@@ -4,12 +4,12 @@ lower bounds, and the pairwise separation survey."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .grids import (
 SURVEY_CAP = 632
 #: Most t grid points of one characteristic-function certificate.
 CHARFN_GRID_CAP = 2**20
+#: Most entries of one discrete mass table (``mass_table``): 32 MB of float64.
+MASS_TABLE_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,24 @@ def tail_certificate(
     weights: Optional[Sequence] = None,
 ) -> float:
     """Bound on sum_{x >= r} a^x f(x), namely E[a^(2X)] / a^(r-1)."""
-    if a <= 1.0:
-        raise DomainError("tail certificate needs a > 1")
+    if not 1.0 < a < math.inf or not math.isfinite(r):
+        raise DomainError("tail certificate needs a finite a > 1 and a finite r")
+    if not params:
+        raise DomainError("tail certificate needs at least one parameter")
     if weights is None:
         weights = [1.0 / len(params)] * len(params)
+    if len(weights) != len(params) or not all(0 <= w <= 1 for w in weights):
+        raise DomainError("tail certificate needs one weight in [0, 1] per parameter")
     total = 0.0
     for w, v in zip(weights, params):
         e = mgf_a2x(family, shared, v, a)
         if math.isinf(e):
             raise CertificateUnavailableError(
-                f"E[a^2X] diverges for {family.value} at a={a}"
+                f"E[a^2X] diverges or passes the float range for {family.value} "
+                f"at a={a}"
             )
         total += float(w) * e
-    return total / a ** (r - 1.0)
+    return _quotient_up(total, lambda: (math.log(total),), a, r - 1.0)
 
 
 def _mass_tail_bound(spec: MixtureSpec, r: int) -> float:
@@ -97,38 +104,52 @@ def _mass_tail_bound(spec: MixtureSpec, r: int) -> float:
             p = float(v) if fam is Family.GEOMETRIC_P else 1.0 / float(v)
             total += float(w) * ((1.0 - p) ** r if p > 0.0 else 0.0)
             continue
+        # E[a^2X] is exp(v * growth): it passes the float range for Poisson
+        # rates above 236 and negative-binomial counts from 1024 on, its log
+        # does not
         if fam is Family.POISSON:
-            a = 2.0
+            a, growth = 2.0, 3.0
         elif fam is Family.NEG_BINOMIAL:
             a = math.sqrt(0.5 * (1.0 + 1.0 / float(spec.shared.p)))
+            growth = math.log(2.0)
         else:
             raise ContractError(f"no tail rule for {fam.value}")
-        total += _certificate_tail(w, mgf_a2x(fam, spec.shared, v, a), a, r)
+        mgf = mgf_a2x(fam, spec.shared, v, a)
+        log_mgf = math.log(mgf) if mgf < math.inf else float(v) * growth
+        total += _quotient_up(
+            float(w) * mgf,
+            lambda: (math.log(w.numerator) - math.log(w.denominator), log_mgf),
+            a, 2 * r - 1,
+        )
     return total
 
 
-def _certificate_tail(weight: Fraction, mgf: float, a: float, r: int) -> float:
-    """weight * E[a^2X] / a^(2r-1): the a^x certificate's bound on one
-    component's mass at or beyond r.
+def _quotient_up(
+    numerator: float, logs: Callable[[], Tuple[float, ...]], a: float, power: float
+) -> float:
+    """numerator / a^power for a > 1, an upper bound on it past the float range.
 
-    Where the float quotient overflows or leaves the normal range it is
-    taken in log space, widened by a margin for the rounding of the logs and
-    rounded up by one ulp: an underflow gives the smallest positive float,
-    never 0, so the result stays an upper bound.
+    ``logs()`` gives the logs of the numerator's factors, which stay finite
+    where the numerator itself overflows.  Where the float quotient
+    overflows or leaves the normal range it is taken in log space, widened
+    by a margin for the rounding of the logs and rounded up by one ulp: an
+    underflow gives the smallest positive float, never 0, so the result
+    stays an upper bound, and a quotient past the float range gives inf.
     """
+    if numerator == 0.0:
+        return 0.0
     try:
-        bound = float(weight) * mgf / a ** (2 * r - 1)
-        if bound >= sys.float_info.min:
+        bound = numerator / a ** power
+        if sys.float_info.min <= bound < math.inf:
             return bound
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a^power left the float range
         pass
-    logs = (
-        math.log(weight.numerator) - math.log(weight.denominator),
-        math.log(mgf),
-        -(2 * r - 1) * math.log(a),
-    )
-    margin = 8 * sys.float_info.epsilon * sum(map(abs, logs))
-    return math.nextafter(math.exp(sum(logs) + margin), math.inf)
+    terms = (*logs(), -power * math.log(a))
+    margin = 8 * sys.float_info.epsilon * sum(map(abs, terms))
+    try:
+        return math.nextafter(math.exp(sum(terms) + margin), math.inf)
+    except OverflowError:
+        return math.inf
 
 
 def discrete_truncation(spec: MixtureSpec, target: float) -> int:
@@ -156,17 +177,18 @@ def discrete_truncation(spec: MixtureSpec, target: float) -> int:
     return hi
 
 
-def _tv_discrete(a: MixtureSpec, b: MixtureSpec, tol: float) -> TvInterval:
-    target = tol / 2.0
-    r = max(discrete_truncation(a, target), discrete_truncation(b, target))
-    total = 0.0  # a plain loop: ``sum`` compensates from Python 3.12 on
-    for x in range(r):
-        total += abs(pmf_or_pdf(a, x) - pmf_or_pdf(b, x))
-    partial = 0.5 * total
-    tail = 0.5 * (_mass_tail_bound(a, r) + _mass_tail_bound(b, r))
-    return TvInterval(
-        lo=min(partial, 1.0), hi=min(partial + tail, 1.0), x_max=r, tail_bound=tail
-    )
+def mass_table(specs: Sequence[MixtureSpec], x_max: int) -> np.ndarray:
+    """len(specs) x (x_max+1) table of the masses at 0..x_max, the one place
+    discrete masses are tabulated.  A table over ``MASS_TABLE_CAP`` entries
+    is refused before any mass is evaluated."""
+    width = x_max + 1
+    if len(specs) * width > MASS_TABLE_CAP:
+        raise CapExceededError(f"a {len(specs)} x {width} mass table exceeds the "
+                               f"cap {MASS_TABLE_CAP}")
+    table = np.empty((len(specs), width))
+    for row, spec in zip(table, specs):
+        row[:] = np.fromiter((pmf_or_pdf(spec, x) for x in range(width)), float, width)
+    return table
 
 
 def _continuous_range(spec: MixtureSpec, target: float) -> Tuple[float, float]:
@@ -259,14 +281,31 @@ def _tv_continuous(a: MixtureSpec, b: MixtureSpec, tol: float) -> TvInterval:
     )
 
 
+def _tv_intervals(specs: Sequence[MixtureSpec], pairs: Sequence[Tuple[int, int]],
+                  tol: float) -> Iterator[TvInterval]:
+    """TV intervals of width <= tol for the pairs (i, j) of specs of one
+    family.  A discrete pair reads its partial sum off the one mass table:
+    the running sum of its |mass difference| row at its truncation point,
+    added left to right by ``np.cumsum`` as by a plain loop."""
+    if specs[0].family not in DISCRETE_FAMILIES:
+        yield from (_tv_continuous(specs[i], specs[j], tol) for i, j in pairs)
+        return
+    rs = [discrete_truncation(spec, tol / 2.0) for spec in specs]
+    masses = mass_table(specs, max(rs) - 1)
+    tail_of = functools.lru_cache(None)(lambda i, r: _mass_tail_bound(specs[i], r))
+    for i, j in pairs:
+        r = max(rs[i], rs[j])
+        partial = 0.5 * float(np.cumsum(np.abs(masses[i] - masses[j]))[r - 1])
+        tail = 0.5 * (tail_of(i, r) + tail_of(j, r))
+        yield TvInterval(min(partial, 1.0), min(partial + tail, 1.0), r, tail)
+
+
 def tv_exact(a: MixtureSpec, b: MixtureSpec, tol: float = 1e-9) -> TvInterval:
     """Two-sided interval of width <= tol around the true TV distance."""
     _check_pair(a, b)
     if not 0.0 < tol < math.inf:
         raise DomainError("tolerance must be positive and finite")
-    if a.family in DISCRETE_FAMILIES:
-        return _tv_discrete(a, b, tol)
-    return _tv_continuous(a, b, tol)
+    return next(_tv_intervals((a, b), [(0, 1)], tol))
 
 
 @dataclass(frozen=True)
@@ -323,14 +362,9 @@ def g_transform(family: Family, shared, t: float) -> GTransform:
     raise ContractError(f"no G-transform for family {family.value}")
 
 
-def tv_lower_bound_charfn(
-    a: MixtureSpec, b: MixtureSpec, L: float, grid_points: int = 1024
-) -> TvCertificate:
-    """Max of |C_a(t) - C_b(t)| / 2 on a uniform t grid over [-pi/L, pi/L];
-    any grid point is a valid TV lower bound, so no optimality is claimed.
-    The witness is the first grid point attaining the maximum (0.0 when
-    every value is 0)."""
-    _check_pair(a, b)
+def _charfn_certificates(specs: Sequence[MixtureSpec], pairs: Sequence[Tuple[int, int]],
+                         L: float, grid_points: int = 1024) -> Iterator[TvCertificate]:
+    """Certificates for the pairs (i, j), read off one char-fn row per spec."""
     if not 0.0 < L < math.inf:
         raise DomainError("L must be positive and finite")
     if grid_points < 3:
@@ -340,14 +374,25 @@ def tv_lower_bound_charfn(
             f"{grid_points} grid points exceed the cap {CHARFN_GRID_CAP}"
         )
     ts = np.linspace(-math.pi / L, math.pi / L, grid_points)
-    # fmax turns a nan (a closed form overflowed at huge |t|) into 0, which
-    # never becomes the witness
-    vals = np.fmax(0.5 * np.abs(char_fn(a, ts) - char_fn(b, ts)), 0.0)
-    best = int(np.argmax(vals))
-    best_t = float(ts[best]) if vals[best] > 0.0 else 0.0
-    return TvCertificate(
-        method="charfn", witness_t=best_t, value=float(vals[best]), tail_term=0.0, L=L
-    )
+    rows = [char_fn(spec, ts) for spec in specs]
+    for i, j in pairs:
+        # fmax turns a nan (a closed form overflowed at huge |t|) into 0,
+        # which never becomes the witness
+        vals = np.fmax(0.5 * np.abs(rows[i] - rows[j]), 0.0)
+        best = int(np.argmax(vals))
+        best_t = float(ts[best]) if vals[best] > 0.0 else 0.0
+        yield TvCertificate("charfn", best_t, float(vals[best]), tail_term=0.0, L=L)
+
+
+def tv_lower_bound_charfn(
+    a: MixtureSpec, b: MixtureSpec, L: float, grid_points: int = 1024
+) -> TvCertificate:
+    """Max of |C_a(t) - C_b(t)| / 2 on a uniform t grid over [-pi/L, pi/L];
+    any grid point is a valid TV lower bound, so no optimality is claimed.
+    The witness is the first grid point attaining the maximum (0.0 when
+    every value is 0)."""
+    _check_pair(a, b)
+    return next(_charfn_certificates((a, b), [(0, 1)], L, grid_points))
 
 
 @dataclass(frozen=True)
@@ -387,20 +432,14 @@ def separation_survey(
     specs = candidate_family(grid, k, shared, cap=SURVEY_CAP)
     if len(specs) < 2:
         raise DomainError("the survey needs at least two candidates")
-    rows: List[SurveyRow] = []
-    for a, b in combinations(specs, 2):
-        interval = tv_exact(a, b)
-        cert = tv_lower_bound_charfn(a, b, L)
-        rows.append(
-            SurveyRow(
-                pair_a=a.indices,
-                pair_b=b.indices,
-                tv_lo=interval.lo,
-                tv_hi=interval.hi,
-                charfn_bound=cert.value,
-                witness_t=cert.witness_t,
-            )
-        )
+    pairs = list(combinations(range(len(specs)), 2))
+    # the certificates come first: they check L before any TV work
+    rows = [
+        SurveyRow(specs[i].indices, specs[j].indices, interval.lo, interval.hi,
+                  cert.value, cert.witness_t)
+        for (i, j), cert, interval in zip(
+            pairs, _charfn_certificates(specs, pairs, L), _tv_intervals(specs, pairs, 1e-9))
+    ]
     min_tv = min(r.tv_lo for r in rows)
     implied = (
         -math.log(max(min_tv * k, 1e-300)) / float(N) ** (1.0 / 3.0)

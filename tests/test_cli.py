@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixlearn import cli
 from mixlearn.cli import cli_dispatch
-from mixlearn.fileio import read_dataset
+from mixlearn.distributions import pmf_or_pdf
+from mixlearn.fileio import read_dataset, read_spec
 from mixlearn.tv import CHARFN_GRID_CAP
 
 BINOMIAL_SPEC = """\
@@ -145,12 +147,62 @@ def test_tv_exact_at_tolerances_near_the_float_floor(tmp_path, capsys, tol):
 
 
 def test_tv_exact_poisson_rates_past_the_certificate_range(tmp_path, capsys):
-    # E[4^X] = exp(3 lambda) passes the float range for lambda = 300
+    # E[4^X] = exp(3 lambda) passes the float range for lambda = 300; the
+    # tail bound is taken from its log, 3 lambda
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("family=poisson\nindices=300\nmax_index=310\n")
     b.write_text("family=poisson\nindices=310\nmax_index=310\n")
     rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
-    assert rc == 1 and "error:" in capsys.readouterr().err
+    assert rc == 0
+    values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    lo, hi = float(values["tv_lo"]), float(values["tv_hi"])
+    assert 0.0 < lo <= hi <= 1.0 and hi - lo <= 1e-9
+    spec_a, spec_b = read_spec(a), read_spec(b)
+    total = 0.0  # left to right
+    for x in range(int(values["x_max"])):
+        total += abs(pmf_or_pdf(spec_a, x) - pmf_or_pdf(spec_b, x))
+    assert lo == 0.5 * total
+
+
+def test_tv_exact_past_the_mass_table_cap_exit_code(tmp_path, capsys):
+    # lambda = 10^6 truncates near r = 2.16 * 10^6: two mass rows pass the cap
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("family=poisson\nindices=1000000\nmax_index=1000000\n")
+    b.write_text("family=poisson\nindices=999999\nmax_index=1000000\n")
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "mass table exceeds the cap" in err
+
+
+def test_dispatch_answers_as_a_fresh_parser_does(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(POISSON_SPEC_A)
+    b.write_text(POISSON_SPEC_B)
+    pair = ["--spec-a", str(a), "--spec-b", str(b)]
+    runs = [
+        ["tv", "exact", *pair],
+        ["plan-samples", "--family", "binomial-p", "--k", "2", "--T", "2",
+         "--scheme", "chebyshev", "--eps", "1/2", "--max-index", "2", "--n", "10"],
+        ["tv", "bound", *pair, "--L", "1"],
+        ["verify-identifiability", "--n", "5"],
+        ["tv", "bound", *pair, "--L", "0"],
+        ["learn", "--family", "poisson"],
+        ["tv", "exact", *pair, "--tol", "1e-3"],
+        ["verify-identifiability", "--n", "4", "--mode", "multisets", "--q", "3"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in runs:
+            rc = cli_dispatch(argv)
+            results.append((rc, *capsys.readouterr()))
+        return results
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert run_all() == shared
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 1, 2, 0, 0]
 
 
 def test_tv_exact_large_binomial(tmp_path, capsys):

@@ -32,6 +32,7 @@ from mixlearn.powersums import (
     PowerSumVector,
     _digit_multiplicities,
     _object_at,
+    _objects_in_order,
     _positional_power_sums,
     _refine,
     _solve_coefficients,
@@ -236,18 +237,24 @@ def test_solve_coefficients_are_shared_integer_compositions():
     assert _solve_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)[1] is d
 
 
+def _reference_objects(n, q, mode):
+    """Every object as a tuple, subsets by size in ``combinations`` order,
+    multisets in q-ary order."""
+    if mode == "sets":
+        return [obj for size in range(n + 1) for obj in combinations(range(n), size)]
+    objects = [()]
+    for v in range(n):
+        objects = [obj + (v,) * mult for obj in objects for mult in range(q)]
+    return objects
+
+
 def _reference_identifiability(n, q=2, mode="sets", T=None):
     """The dict-keyed sweep the array refinement replaced: Python tuples in
     ``combinations`` / q-ary order, grouped by size, then split order by
     order on ``sum(v**order)``."""
     T_theorem = log_of_theorem_bound(n, q, mode)
     T_max = T if T is not None else T_theorem
-    if mode == "sets":
-        objects = [obj for size in range(n + 1) for obj in combinations(range(n), size)]
-    else:
-        objects = [()]
-        for v in range(n):
-            objects = [obj + (v,) * mult for obj in objects for mult in range(q)]
+    objects = _reference_objects(n, q, mode)
     groups = {}
     for i, obj in enumerate(objects):
         groups.setdefault((len(obj),), []).append(i)
@@ -300,6 +307,12 @@ def test_verify_identifiability_matches_the_dict_reference(n, q, mode):
     for T in (None, 1, 2, 3, 4, 5, 6):
         assert verify_identifiability(n, q, mode, T) == _reference_identifiability(
             n, q, mode, T)
+
+
+@pytest.mark.parametrize("n, q, mode", IDENTIFIABILITY_CASES + [
+    (0, 2, "sets"), (14, 2, "sets"), (7, 3, "multisets"), (5, 4, "multisets")])
+def test_objects_in_order_follow_the_reference_order(n, q, mode):
+    assert list(_objects_in_order(n, q, mode)) == _reference_objects(n, q, mode)
 
 
 def test_positional_power_sums_past_the_int64_limit():

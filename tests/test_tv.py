@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlearn import (
     CapExceededError,
@@ -12,6 +14,7 @@ from mixlearn import (
     FamilyMismatchError,
     ParameterGrid,
     SharedParams,
+    candidate_family,
     cdf,
     g_transform,
     pmf_or_pdf,
@@ -177,6 +180,12 @@ def test_tail_certificate_bounds_true_tail():
     )
     true_tail = sum(a**x * pmf_or_pdf(spec, x) for x in range(r, 200))
     assert true_tail <= bound
+    assert bound == (0.5 * math.exp(1.25) + 0.5 * math.exp(5.0)) / a ** (r - 1.0)
+    # 2^1999 overflows a float: the quotient is taken in log space, rounded up
+    params = [Fraction(1), Fraction(4)]
+    bound = tail_certificate(Family.POISSON, SharedParams(), params, 2.0, 2000)
+    exact = sum(Fraction(tv.mgf_a2x(Family.POISSON, None, v, 2.0)) for v in params)
+    assert bound > 0.0 and Fraction(bound) >= exact / 2 / 2**1999
 
 
 def test_tail_certificate_divergence():
@@ -184,6 +193,25 @@ def test_tail_certificate_divergence():
         tail_certificate(
             Family.GEOMETRIC_P, SharedParams(), [Fraction(1, 4)], 2.0, 10
         )
+    # E[4^X] = 2.5^10000 passes the float range
+    with pytest.raises(CertificateUnavailableError):
+        tail_certificate(
+            Family.BINOMIAL_P, SharedParams(n=10_000), [Fraction(1, 2)], 2.0, 10
+        )
+    bad = [
+        ([Fraction(1), Fraction(2)], 2.0, 5, [0.5]),  # one weight short
+        ([Fraction(1)], 2.0, 5, [0.5, 0.5]),
+        ([], 2.0, 5, None),
+        ([Fraction(1)], 2.0, 5, [-0.5]),
+        ([Fraction(1)], 2.0, 5, [math.nan]),
+        ([Fraction(1)], 1.0, 5, None),
+        ([Fraction(1)], math.nan, 5, None),
+        ([Fraction(1)], math.inf, 5, None),
+        ([Fraction(1)], 2.0, math.inf, None),
+    ]
+    for params, a, r, weights in bad:
+        with pytest.raises(DomainError):
+            tail_certificate(Family.POISSON, SharedParams(), params, a, r, weights)
 
 
 def test_charfn_lower_bound_below_tv():
@@ -346,3 +374,61 @@ def test_discrete_tv_sums_left_to_right():
                  for x in range(int(iv.x_max))]
         assert _compensated_sum(terms) != _plain_sum(terms)
         assert iv.lo == 0.5 * _plain_sum(terms)
+        # both tails are taken at the pair's truncation point
+        r = iv.x_max
+        assert iv.tail_bound == 0.5 * (tv._mass_tail_bound(a, r) + tv._mass_tail_bound(b, r))
+        assert iv.hi == min(iv.lo + iv.tail_bound, 1.0)
+
+
+def test_mass_table_over_the_cap_evaluates_no_mass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tv, "pmf_or_pdf",
+                        lambda spec, x: calls.append(x) or pmf_or_pdf(spec, x))
+    specs = [_poisson((1,)), _poisson((2, 3))]
+    with pytest.raises(CapExceededError):
+        tv.mass_table(specs, tv.MASS_TABLE_CAP // 2)
+    assert calls == []
+    monkeypatch.setattr(tv, "MASS_TABLE_CAP", 10)
+    table = tv.mass_table(specs, 4)
+    assert len(calls) == 10
+    assert table.tolist() == [[pmf_or_pdf(s, x) for x in range(5)] for s in specs]
+    calls.clear()
+    with pytest.raises(CapExceededError):
+        tv.mass_table(specs, 5)
+    with pytest.raises(CapExceededError):
+        tv_exact(_poisson((1,)), _poisson((2,)))
+    assert calls == []
+
+
+SURVEY_GRIDS = {  # family: (smallest index, shared parameters)
+    Family.POISSON: (0, SharedParams()),
+    Family.NEG_BINOMIAL: (1, SharedParams(p=Fraction(1, 3))),
+    Family.GAUSSIAN: (0, SharedParams(sigma=1.0)),
+    Family.CHI_SQUARED: (1, SharedParams()),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(sorted(SURVEY_GRIDS, key=lambda f: f.value)),
+    low=st.integers(0, 3),
+    size_k=st.integers(2, 4).flatmap(
+        lambda size: st.tuples(st.just(size), st.integers(1, min(2, size - 1)))),
+    L=st.sampled_from([None, 0.5, 2.0]),
+)
+def test_survey_rows_equal_the_pairwise_certificates(family, low, size_k, L):
+    # grids of at most 4 points keep each example quick
+    (size, k), (first, shared) = size_k, SURVEY_GRIDS[family]
+    grid = ParameterGrid(family, 1, first + low, first + low + size - 1)
+    summary = separation_survey(family, shared, grid, k, L)
+    pairs = list(combinations(candidate_family(grid, k, shared), 2))
+    assert len(summary.rows) == len(pairs)
+    los = []
+    for row, (a, b) in zip(summary.rows, pairs):
+        interval = tv_exact(a, b)
+        cert = tv_lower_bound_charfn(a, b, summary.L)
+        los.append(interval.lo)
+        # repr tells every float apart bit for bit, -0.0 from 0.0 included
+        assert repr(row) == repr(tv.SurveyRow(
+            a.indices, b.indices, interval.lo, interval.hi, cert.value, cert.witness_t))
+    assert repr(summary.min_tv_lo) == repr(min(los))
