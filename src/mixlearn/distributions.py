@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import comb
 from typing import Union
@@ -55,7 +56,16 @@ def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
         return (1.0 - p) ** x * p
     if family is Family.NEG_BINOMIAL:
         r, p = int(value), float(shared.p)
-        return comb(x + r - 1, x) * (1.0 - p) ** r * p**x
+        q_r, p_x = (1.0 - p) ** r, p**x
+        try:
+            c = float(comb(x + r - 1, x))
+        except OverflowError:  # C(x + r - 1, x) exceeds the float range
+            c = math.inf
+        if c < math.inf and min(q_r, p_x) >= sys.float_info.min:
+            return c * q_r * p_x
+        # log space: a power below the normal range would lose the mass
+        return math.exp(math.lgamma(x + r) - math.lgamma(x + 1) - math.lgamma(r)
+                        + r * math.log1p(-p) + x * math.log(p))
     raise ContractError(f"{family.value} is not a discrete family")
 
 

@@ -4,10 +4,10 @@ family."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import (
     FamilyMismatchError,
 )
 from .grids import (  # perfbench/tracer.py wraps mixlearn.scheffe.candidate_family
-    CANDIDATE_CAP,
     DISCRETE_FAMILIES,
     Family,
     MixtureSpec,
@@ -51,6 +50,9 @@ class ScheffeSet:
     def __post_init__(self):
         if self.kind not in ("discrete", "intervals"):
             raise ContractError(f"unknown Scheffe set kind {self.kind!r}")
+        if self.kind == "discrete" and not (
+                0 <= min(self.points, default=0) <= max(self.points, default=0) <= self.x_max):
+            raise DomainError("discrete set points must lie in [0, x_max], x_max >= 0")
         if self.kind == "intervals":
             prev = -math.inf
             for lo, hi in self.intervals:
@@ -66,42 +68,17 @@ def _set_x_max(spec: MixtureSpec) -> int:
     return min(r, spec.shared.n) if spec.family is Family.BINOMIAL_P else r
 
 
-def scheffe_set(
-    a: MixtureSpec,
-    b: MixtureSpec,
-    x_max: Optional[int] = None,
-    provenance: Optional[Tuple[int, int]] = None,
-    masses: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> ScheffeSet:
-    """The set {x : a(x) >= b(x)}.
+def _discrete_sets(masses: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> List[ScheffeSet]:
+    """The set of each pair (i, j), read off rows i and j of one mass table."""
+    return [ScheffeSet(kind="discrete", x_max=masses.shape[1] - 1, provenance=(i, j),
+                       points=tuple(np.flatnonzero(masses[i] >= masses[j]).tolist()))
+            for i, j in pairs]
 
-    ``masses`` is internal to ``precompute_mde``: a's and b's masses at
-    0..x_max, already evaluated as two equal-length rows of its density
-    table, from which the discrete set is read instead of evaluating the
-    masses point by point.  It fixes x_max, so it excludes ``x_max``.
-    """
-    if a.family is not b.family or a.shared != b.shared:
-        raise FamilyMismatchError("Scheffe sets need matching families")
-    if masses is not None:
-        mass_a, mass_b = masses
-        if a.family not in DISCRETE_FAMILIES:
-            raise ContractError("masses apply to discrete families only")
-        if x_max is not None:
-            raise ContractError("give x_max or masses, not both")
-        if len(mass_a) != len(mass_b) or len(mass_a) == 0:
-            raise ContractError("masses must be two equal-length, non-empty rows")
-    if a.family in DISCRETE_FAMILIES:
-        if masses is not None:
-            pts = tuple(np.flatnonzero(mass_a >= mass_b).tolist())
-            return ScheffeSet(kind="discrete", points=pts, x_max=len(mass_a) - 1,
-                              provenance=provenance)
-        if x_max is None:
-            x_max = max(_set_x_max(a), _set_x_max(b))
-        pts = tuple(
-            x for x in range(x_max + 1) if pmf_or_pdf(a, x) >= pmf_or_pdf(b, x)
-        )
-        return ScheffeSet(kind="discrete", points=pts, x_max=x_max,
-                          provenance=provenance)
+
+def _interval_set(a: MixtureSpec, b: MixtureSpec,
+                  provenance: Optional[Tuple[int, int]]) -> ScheffeSet:
+    """{x : a(x) >= b(x)} for continuous densities: the sign of a - b probed
+    once between each pair of neighbouring crossings."""
     crossings = density_crossings(a, b)
     if not crossings:
         # no crossing: either identical (full support by convention) or one
@@ -131,46 +108,110 @@ def scheffe_set(
                       provenance=provenance)
 
 
-def empirical_measure(data: SampleDataset, s: ScheffeSet) -> Fraction:
-    """Exact fraction of the samples falling in the set."""
+def scheffe_set(
+    a: MixtureSpec,
+    b: MixtureSpec,
+    x_max: Optional[int] = None,
+    provenance: Optional[Tuple[int, int]] = None,
+) -> ScheffeSet:
+    """The set {x : a(x) >= b(x)}; a discrete set covers 0..x_max, by
+    default the larger of the two truncation points, read off a two-row
+    ``mass_table`` (which refuses an x_max past its cap before any mass is
+    evaluated)."""
+    if a.family is not b.family or a.shared != b.shared:
+        raise FamilyMismatchError("Scheffe sets need matching families")
+    if a.family not in DISCRETE_FAMILIES:
+        return _interval_set(a, b, provenance)
+    if x_max is None:
+        x_max = max(_set_x_max(a), _set_x_max(b))
+    (s,) = _discrete_sets(mass_table((a, b), x_max), [(0, 1)])
+    return replace(s, provenance=provenance)
+
+
+def _membership(sets: Sequence[ScheffeSet]) -> np.ndarray:
+    """(x_max+1) x len(sets) 0/1 matrix of the discrete sets' points."""
+    sizes = [len(s.points) for s in sets]
+    rows = np.fromiter(chain.from_iterable(s.points for s in sets),
+                       dtype=np.intp, count=sum(sizes))
+    member = np.zeros((max(s.x_max for s in sets) + 1, len(sets)), dtype=np.int64)
+    member[rows, np.repeat(np.arange(len(sets)), sizes)] = 1
+    return member
+
+
+def _table_set_probabilities(masses: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    """masses @ membership, each entry summed left to right in point order
+    (not by ``sum``, which compensates from Python 3.12 on): adding the
+    masses of the points outside a set adds exact zeros, which leaves every
+    partial sum unchanged."""
+    member = _membership(sets)
+    total = np.zeros((masses.shape[0], member.shape[1]))
+    for x in range(member.shape[0]):
+        total += masses[:, x, None] * member[x]
+    return total
+
+
+def _set_probabilities(specs: Sequence[MixtureSpec], sets: Sequence[ScheffeSet]) -> np.ndarray:
+    """len(specs) x len(sets) table of set probabilities: one mass table
+    times the membership matrix for discrete sets, sums of CDF differences
+    in interval order for continuous ones."""
+    discrete = specs[0].family in DISCRETE_FAMILIES
+    if any((s.kind == "discrete") != discrete for s in sets):
+        raise FamilyMismatchError(f"{specs[0].family.value} spec on Scheffe sets of another kind")
+    if discrete:
+        return _table_set_probabilities(mass_table(specs, max(s.x_max for s in sets)), sets)
+    table = np.zeros((len(specs), len(sets)))
+    for row, spec in zip(table, specs):
+        for col, s in enumerate(sets):
+            total = 0.0
+            for lo, hi in s.intervals:
+                hi_v = 1.0 if math.isinf(hi) else cdf(spec, hi)
+                lo_v = 0.0 if math.isinf(lo) else cdf(spec, lo)
+                total += hi_v - lo_v
+            row[col] = total
+    return table
+
+
+def _discrete_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    member = _membership(sets)
+    # numpy 1.x bincount refuses uint64; the kept values fit in intp
+    kept = values[values < member.shape[0]].astype(np.intp, copy=False)
+    hist = np.bincount(kept, minlength=member.shape[0])
+    return hist @ member
+
+
+def _interval_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    xs = np.sort(values)
+    los = np.array([lo for s in sets for lo, _ in s.intervals])
+    his = np.array([hi for s in sets for _, hi in s.intervals])
+    counts = (np.searchsorted(xs, his, side="right")
+              - np.searchsorted(xs, los, side="left"))
+    hits = np.zeros(len(sets), dtype=np.int64)
+    np.add.at(hits, np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets]),
+              counts)
+    return hits
+
+
+def _hits(data: SampleDataset, sets: Sequence[ScheffeSet]) -> np.ndarray:
+    """Samples in each set, from one pass over the data: a histogram times
+    the membership matrix for discrete sets, one sort and one searchsorted
+    over all interval ends for continuous ones."""
     if len(data) == 0:
         raise DomainError("empty dataset")
-    vals = data.values
-    if s.kind == "discrete":
-        if not s.points:
-            return Fraction(0)
-        lut = np.zeros(s.x_max + 1, dtype=bool)
-        lut[list(s.points)] = True
-        in_range = vals <= s.x_max
-        hits = int(lut[vals[in_range]].sum())
-        return Fraction(hits, len(data))
-    hits = 0
-    xs = np.sort(vals)
-    for lo, hi in s.intervals:
-        hits += int(np.searchsorted(xs, hi, side="right")
-                    - np.searchsorted(xs, lo, side="left"))
-    return Fraction(hits, len(data))
+    discrete = data.family in DISCRETE_FAMILIES
+    if any((s.kind == "discrete") != discrete for s in sets):
+        raise DomainError(f"{data.family.value} dataset on Scheffe sets of another kind")
+    return (_discrete_hits if discrete else _interval_hits)(data.values, sets)
+
+
+def empirical_measure(data: SampleDataset, s: ScheffeSet) -> Fraction:
+    """Exact fraction of the samples falling in the set."""
+    return Fraction(int(_hits(data, [s])[0]), len(data))
 
 
 def set_probability(spec: MixtureSpec, s: ScheffeSet) -> float:
     """Candidate probability of the set: the pmf summed in point order, or a
-    sum of CDF differences in interval order.
-
-    The sum is a plain left-to-right float loop, not ``sum``, which uses
-    compensated summation from Python 3.12 on; so results do not depend on
-    the Python version, and ``precompute_mde``'s table sums match them bit
-    for bit.
-    """
-    total = 0.0
-    if s.kind == "discrete":
-        for x in s.points:
-            total += pmf_or_pdf(spec, x)
-        return total
-    for lo, hi in s.intervals:
-        hi_v = 1.0 if math.isinf(hi) else cdf(spec, hi)
-        lo_v = 0.0 if math.isinf(lo) else cdf(spec, lo)
-        total += hi_v - lo_v
-    return total
+    sum of CDF differences in interval order."""
+    return float(_set_probabilities([spec], [s])[0, 0])
 
 
 #: MDE tie rule: every candidate scoring within TIE_ULPS units in the last
@@ -194,46 +235,6 @@ class MdeResult:
     sets: Tuple[ScheffeSet, ...] = ()
 
 
-def _membership(sets: Sequence[ScheffeSet]) -> np.ndarray:
-    """(x_max+1) x len(sets) 0/1 matrix of the discrete sets' points."""
-    sizes = [len(s.points) for s in sets]
-    rows = np.fromiter(chain.from_iterable(s.points for s in sets),
-                       dtype=np.intp, count=sum(sizes))
-    member = np.zeros((max(s.x_max for s in sets) + 1, len(sets)), dtype=np.int64)
-    member[rows, np.repeat(np.arange(len(sets)), sizes)] = 1
-    return member
-
-
-def _table_set_probabilities(masses: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """masses @ member, each entry summed in point order as set_probability
-    sums it: adding the masses of the points outside a set adds exact
-    zeros, which leaves every partial sum unchanged."""
-    total = np.zeros((masses.shape[0], member.shape[1]))
-    for x in range(member.shape[0]):
-        total += masses[:, x, None] * member[x]
-    return total
-
-
-def _discrete_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
-    member = _membership(sets)
-    # numpy 1.x bincount refuses uint64; the kept values fit in intp
-    kept = values[values < member.shape[0]].astype(np.intp, copy=False)
-    hist = np.bincount(kept, minlength=member.shape[0])
-    return hist @ member
-
-
-def _interval_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
-    xs = np.sort(values)
-    los = np.array([lo for s in sets for lo, _ in s.intervals])
-    his = np.array([hi for s in sets for _, hi in s.intervals])
-    counts = (np.searchsorted(xs, his, side="right")
-              - np.searchsorted(xs, los, side="left"))
-    hits = np.zeros(len(sets), dtype=np.int64)
-    np.add.at(hits, np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets]),
-              counts)
-    return hits
-
-
 def precompute_mde(
     candidates: Sequence[MixtureSpec],
 ) -> Tuple[List[ScheffeSet], np.ndarray]:
@@ -243,7 +244,7 @@ def precompute_mde(
 
     Complements carry the same discrepancy, so unordered pairs suffice.  For
     discrete families each candidate's masses at 0..x_max are evaluated once
-    into one table; the sets and set probabilities are read off it.
+    into one ``mass_table``; the sets and set probabilities are read off it.
     """
     if len(candidates) < 2:
         raise ContractError("MDE needs at least 2 candidates")
@@ -260,18 +261,11 @@ def precompute_mde(
         )
     pairs = list(combinations(range(count), 2))
     if fam not in DISCRETE_FAMILIES:
-        sets = [scheffe_set(candidates[i], candidates[j], provenance=(i, j))
-                for i, j in pairs]
-        probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
-        return sets, probs
-    x_max = max(_set_x_max(c) for c in candidates)
-    masses = mass_table(candidates, x_max)
-    sets = [
-        scheffe_set(candidates[i], candidates[j], provenance=(i, j),
-                    masses=(masses[i], masses[j]))
-        for i, j in pairs
-    ]
-    return sets, _table_set_probabilities(masses, _membership(sets))
+        sets = [_interval_set(candidates[i], candidates[j], (i, j)) for i, j in pairs]
+        return sets, _set_probabilities(candidates, sets)
+    masses = mass_table(candidates, max(_set_x_max(c) for c in candidates))
+    sets = _discrete_sets(masses, pairs)
+    return sets, _table_set_probabilities(masses, sets)
 
 
 def mde_select(
@@ -284,24 +278,23 @@ def mde_select(
     discrepancy to the empirical measure over all pairwise Scheffe sets.
 
     Oracle mode (``truth`` given instead of ``data``) scores against the true
-    set probabilities, isolating the selection rule from sampling noise.
-
-    The empirical measure of every set comes from one pass over the data: a
-    histogram times the sets' membership matrix for discrete sets, one sort
-    and one searchsorted over all interval ends for continuous sets.  It
-    equals ``empirical_measure`` set by set.
+    set probabilities, one ``_set_probabilities`` row, isolating the
+    selection rule from sampling noise.  Sampled mode counts every set's
+    samples in one ``_hits`` pass.
     """
     if (data is None) == (truth is None):
         raise ContractError("provide exactly one of data or truth")
     sets, probs = precomputed if precomputed is not None else precompute_mde(candidates)
+    fam = candidates[0].family
     if truth is not None:
-        emp = np.array([set_probability(truth, s) for s in sets])
+        if truth.family is not fam or truth.shared != candidates[0].shared:
+            raise FamilyMismatchError("truth must share the candidates' family/parameters")
+        emp = _set_probabilities([truth], sets)[0]
     else:
-        if len(data) == 0:
-            raise DomainError("empty dataset")
-        discrete = sets[0].kind == "discrete"  # one family, so one kind
-        hits = (_discrete_hits if discrete else _interval_hits)(data.values, sets)
-        emp = hits / len(data)
+        if data.family is not fam:
+            raise DomainError(f"dataset family {data.family.value} disagrees with the "
+                              f"candidates' family {fam.value}")
+        emp = _hits(data, sets) / len(data)
     scores = np.abs(probs - emp[None, :]).max(axis=1)
     tol = TIE_ULPS * np.finfo(np.float64).eps
     tied = np.flatnonzero(scores <= scores.min() + tol).tolist()

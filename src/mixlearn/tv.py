@@ -181,6 +181,8 @@ def mass_table(specs: Sequence[MixtureSpec], x_max: int) -> np.ndarray:
     """len(specs) x (x_max+1) table of the masses at 0..x_max, the one place
     discrete masses are tabulated.  A table over ``MASS_TABLE_CAP`` entries
     is refused before any mass is evaluated."""
+    if x_max < 0:
+        raise DomainError(f"mass table end {x_max} is negative")
     width = x_max + 1
     if len(specs) * width > MASS_TABLE_CAP:
         raise CapExceededError(f"a {len(specs)} x {width} mass table exceeds the "

@@ -220,6 +220,21 @@ def test_tv_exact_large_binomial(tmp_path, capsys):
     assert float(values["tv_hi"]) > 0.99  # p = 1/4 vs 1/2 at n = 2000
 
 
+def test_tv_exact_large_negative_binomial(tmp_path, capsys):
+    # C(x + 1099, x) overflows a float from x = 292 on: the pmf must switch
+    # to log space
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    spec = "family=neg-binomial\nmin_index=1\nmax_index=1101\np=1/2\nindices={}\n"
+    a.write_text(spec.format("1100"))
+    b.write_text(spec.format("1101"))
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
+    values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert rc == 0
+    lo, hi = float(values["tv_lo"]), float(values["tv_hi"])
+    assert 0.0 < lo <= hi <= 1.0 and hi - lo <= 1e-9
+    assert int(values["x_max"]) > 292
+
+
 def test_tv_littlewood(capsys):
     rc = cli_dispatch([
         "tv", "littlewood", "--coeffs", "1,1,1,1", "--L", "2",

@@ -62,6 +62,24 @@ def test_binomial_pmf_large_n_uses_log_space():
         assert pmf_or_pdf(small, x) == math.comb(40, x) * 0.25**x * 0.75 ** (40 - x)
 
 
+def test_negative_binomial_pmf_large_count_uses_log_space():
+    # C(x + 1099, x) does not fit in a float from x = 292 on, and
+    # (1/2)^1100 alone underflows
+    grid = ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 1100)
+    spec = uniform_spec(grid, (1100,), SharedParams(p=Fraction(1, 2)))
+    for x in (0, 100, 291, 292, 700, 1100, 1500, 3000):
+        assert pmf_or_pdf(spec, x) == pytest.approx(
+            scipy_stats.nbinom.pmf(x, 1100, 0.5), rel=1e-9, abs=1e-300)
+    # where C(x + r - 1, x) and both powers fit, the direct formula is kept
+    # bit for bit
+    shared = SharedParams(p=Fraction(1, 3))
+    p = float(shared.p)
+    for r in (1, 2, 7, 40):
+        small = uniform_spec(grid, (r,), shared)
+        for x in range(400):
+            assert pmf_or_pdf(small, x) == math.comb(x + r - 1, x) * (1.0 - p) ** r * p**x
+
+
 def test_pdf_array_matches_scalar_density():
     gaussian = uniform_spec(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), (0, 3),
                             SharedParams(sigma=1.5))

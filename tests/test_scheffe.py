@@ -8,10 +8,13 @@ import pytest
 from mixlearn import (
     CapExceededError,
     ContractError,
+    DomainError,
     Family,
+    FamilyMismatchError,
     MdeResult,
     ParameterGrid,
     SampleDataset,
+    ScheffeSet,
     SharedParams,
     candidate_family,
     empirical_measure,
@@ -23,7 +26,65 @@ from mixlearn import (
     set_probability,
     uniform_spec,
 )
-from mixlearn.scheffe import MDE_TABLE_CAP, TIE_ULPS
+from mixlearn import tv
+from mixlearn.distributions import cdf
+from mixlearn.grids import DISCRETE_FAMILIES
+from mixlearn.scheffe import MDE_TABLE_CAP, TIE_ULPS, _interval_set, _set_x_max
+
+
+# The per-item definitions the table routines replaced, kept as the
+# reference they must match bit for bit.
+
+def _reference_scheffe_set(a, b, x_max=None, provenance=None):
+    """Discrete sets point by point; continuous sets share the crossing and
+    probe body of ``scheffe_set``, which has no second implementation."""
+    if a.family is not b.family or a.shared != b.shared:
+        raise FamilyMismatchError("Scheffe sets need matching families")
+    if a.family in DISCRETE_FAMILIES:
+        if x_max is None:
+            x_max = max(_set_x_max(a), _set_x_max(b))
+        pts = tuple(
+            x for x in range(x_max + 1) if pmf_or_pdf(a, x) >= pmf_or_pdf(b, x)
+        )
+        return ScheffeSet(kind="discrete", points=pts, x_max=x_max,
+                          provenance=provenance)
+    return _interval_set(a, b, provenance)
+
+
+def _reference_empirical_measure(data, s):
+    """Exact fraction of the samples falling in the set."""
+    if len(data) == 0:
+        raise DomainError("empty dataset")
+    vals = data.values
+    if s.kind == "discrete":
+        if not s.points:
+            return Fraction(0)
+        lut = np.zeros(s.x_max + 1, dtype=bool)
+        lut[list(s.points)] = True
+        in_range = vals <= s.x_max
+        hits = int(lut[vals[in_range]].sum())
+        return Fraction(hits, len(data))
+    hits = 0
+    xs = np.sort(vals)
+    for lo, hi in s.intervals:
+        hits += int(np.searchsorted(xs, hi, side="right")
+                    - np.searchsorted(xs, lo, side="left"))
+    return Fraction(hits, len(data))
+
+
+def _reference_set_probability(spec, s):
+    """The pmf summed in point order, or a sum of CDF differences in
+    interval order, by a plain left-to-right float loop."""
+    total = 0.0
+    if s.kind == "discrete":
+        for x in s.points:
+            total += pmf_or_pdf(spec, x)
+        return total
+    for lo, hi in s.intervals:
+        hi_v = 1.0 if math.isinf(hi) else cdf(spec, hi)
+        lo_v = 0.0 if math.isinf(lo) else cdf(spec, lo)
+        total += hi_v - lo_v
+    return total
 
 
 def _poisson(indices, max_index=5):
@@ -71,8 +132,6 @@ def test_set_probability_discrete_and_complement():
 def test_set_probability_continuous_matches_cdf():
     a, b = _gaussian((0,)), _gaussian((3,))
     s = scheffe_set(a, b)
-    from mixlearn import cdf
-
     assert set_probability(a, s) == pytest.approx(cdf(a, 1.5), abs=1e-9)
 
 
@@ -155,11 +214,11 @@ def test_gaussian_mde_oracle():
 def _reference_mde(candidates, data, x_max=None):
     """MDE from the per-set definitions, one set and one candidate at a time."""
     sets = [
-        scheffe_set(candidates[i], candidates[j], x_max=x_max, provenance=(i, j))
+        _reference_scheffe_set(candidates[i], candidates[j], x_max=x_max, provenance=(i, j))
         for i in range(len(candidates)) for j in range(i + 1, len(candidates))
     ]
-    probs = np.array([[set_probability(c, s) for s in sets] for c in candidates])
-    emp = np.array([float(empirical_measure(data, s)) for s in sets])
+    probs = np.array([[_reference_set_probability(c, s) for s in sets] for c in candidates])
+    emp = np.array([float(_reference_empirical_measure(data, s)) for s in sets])
     scores = np.abs(probs - emp[None, :]).max(axis=1)
     order = sorted(range(len(candidates)),
                    key=lambda i: (scores[i], candidates[i].indices))
@@ -207,15 +266,111 @@ def test_table_mde_accepts_unsigned_discrete_data():
             == mde_select(cands, data=data, precomputed=(sets, probs)))
 
 
-def test_scheffe_set_masses_contract():
-    a, b = _poisson((1, 2)), _poisson((3, 4))
-    masses = (np.array([0.5, 0.2, 0.1]), np.array([0.1, 0.2, 0.3]))
-    s = scheffe_set(a, b, masses=masses)
-    assert s.points == (0, 1) and s.x_max == 2
-    with pytest.raises(ContractError):
-        scheffe_set(a, b, x_max=2, masses=masses)
-    with pytest.raises(ContractError):
-        scheffe_set(a, b, masses=(masses[0], masses[1][:2]))
+ORACLE_FAMILIES = {
+    Family.POISSON: (ParameterGrid(Family.POISSON, 1, 0, 5), SharedParams()),
+    Family.NEG_BINOMIAL: (ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 5),
+                          SharedParams(p=Fraction(1, 3))),
+    Family.GAUSSIAN: (ParameterGrid(Family.GAUSSIAN, 1, 0, 3), SharedParams(sigma=1.0)),
+    Family.CHI_SQUARED: (ParameterGrid(Family.CHI_SQUARED, 1, 2, 5), SharedParams()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES, key=lambda f: f.value))
+def test_oracle_mde_matches_per_set_reference(family):
+    grid, shared = ORACLE_FAMILIES[family]
+    cands = candidate_family(grid, 2, shared)
+    sets, probs = precompute_mde(cands)
+    for i, j in [(0, 1), (2, len(cands) - 1)]:
+        assert (scheffe_set(cands[i], cands[j], provenance=(i, j))
+                == _reference_scheffe_set(cands[i], cands[j], provenance=(i, j)))
+    for truth in cands:
+        emp = np.array([_reference_set_probability(truth, s) for s in sets])
+        scores = np.abs(probs - emp[None, :]).max(axis=1)
+        result = mde_select(cands, truth=truth, precomputed=(sets, probs))
+        assert repr(result.scores) == repr(tuple(float(x) for x in scores))
+        assert cands[result.winner] == truth and result.delta == 0.0
+        for s in sets[:10]:
+            assert repr(set_probability(truth, s)) == repr(_reference_set_probability(truth, s))
+
+
+def test_empirical_measure_matches_reference_on_unsigned_and_large_values():
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    sets, _ = precompute_mde(cands)
+    # rate-30 component: most samples lie above x_max
+    data = sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 30), (2, 30)),
+                  3000, seed=11)
+    assert data.values.max() > sets[0].x_max
+    unsigned = SampleDataset(Family.POISSON, data.values.astype(np.uint64))
+    assert unsigned.values.dtype == np.uint64
+    for values in (data, unsigned):
+        for s in sets:
+            assert empirical_measure(values, s) == _reference_empirical_measure(values, s)
+
+
+def test_mde_refuses_a_dataset_of_another_family():
+    poisson = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 2), 2)
+    gaussian = candidate_family(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), 2,
+                                SharedParams(sigma=1.0))
+    poisson_data = sample(_poisson((1, 2)), 2000, seed=1)
+    # nonnegative, so the discrete histogram would take it
+    gaussian_data = SampleDataset(Family.GAUSSIAN,
+                                  np.abs(sample(_gaussian((1, 2)), 2000, seed=1).values))
+    negbin_data = SampleDataset(Family.NEG_BINOMIAL, poisson_data.values)
+    # without the family check each of these returned a winner
+    for cands, data in ((poisson, gaussian_data), (gaussian, poisson_data),
+                        (poisson, negbin_data)):
+        with pytest.raises(DomainError, match="dataset family"):
+            mde_select(cands, data=data)
+    # sets of the other kind, handed in as a precomputed table
+    with pytest.raises(DomainError, match="another kind"):
+        mde_select(poisson, data=poisson_data, precomputed=precompute_mde(gaussian[:3]))
+
+
+def test_mde_refuses_a_truth_of_another_family():
+    poisson = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 2), 2)
+    gaussian = candidate_family(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), 2,
+                                SharedParams(sigma=1.0))
+    negbin = uniform_spec(ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 3), (1, 2),
+                          SharedParams(p=Fraction(1, 3)))
+    for cands, truth in ((poisson, negbin), (poisson, _gaussian((1, 2))),
+                         (gaussian, _gaussian((1, 2), sigma=0.5))):
+        with pytest.raises(FamilyMismatchError):
+            mde_select(cands, truth=truth)
+
+
+def test_set_measures_refuse_the_other_kind_of_set():
+    discrete = scheffe_set(_poisson((1, 4)), _poisson((2, 3)))
+    intervals = scheffe_set(_gaussian((0,)), _gaussian((3,)))
+    # without the kind checks the first returned 0.379 and the third raised
+    # a bare IndexError
+    with pytest.raises(FamilyMismatchError):
+        set_probability(_gaussian((0, 3)), discrete)
+    with pytest.raises(FamilyMismatchError):
+        set_probability(_poisson((1, 4)), intervals)
+    with pytest.raises(DomainError):
+        empirical_measure(sample(_gaussian((0, 3)), 100, seed=2), discrete)
+    with pytest.raises(DomainError):
+        empirical_measure(sample(_poisson((1, 4)), 100, seed=2), intervals)
+
+
+def test_discrete_sets_are_bounded(monkeypatch):
+    assert ScheffeSet(kind="discrete", points=(0, 3), x_max=3).points == (0, 3)
+    for points, x_max in (((), -1), ((0, 4), 3), ((-1, 2), 3)):
+        with pytest.raises(DomainError):
+            ScheffeSet(kind="discrete", points=points, x_max=x_max)
+    a, b = _poisson((1, 4)), _poisson((2, 3))
+    with pytest.raises(DomainError):
+        scheffe_set(a, b, x_max=-3)
+    with pytest.raises(DomainError):
+        tv.mass_table([a, b], -1)
+    calls = []
+    monkeypatch.setattr(tv, "pmf_or_pdf",
+                        lambda spec, x: calls.append(x) or pmf_or_pdf(spec, x))
+    with pytest.raises(CapExceededError):
+        scheffe_set(a, b, x_max=tv.MASS_TABLE_CAP)
+    assert calls == []
+    assert scheffe_set(a, b, x_max=3) == _reference_scheffe_set(a, b, x_max=3)
+    assert len(calls) == 8
 
 
 def test_mde_scores_one_ulp_apart_tie_by_index_order():
