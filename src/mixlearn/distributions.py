@@ -39,15 +39,18 @@ def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
             return 1.0 if x == 0 else 0.0
         if p == 1.0:
             return 1.0 if x == n else 0.0
+        p_x, q_nx = p**x, (1.0 - p) ** (n - x)
         try:
             c = float(comb(n, x))
-        except OverflowError:
-            # C(n, x) exceeds the float range (n of about 1030 and up)
-            return math.exp(
-                math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-                + x * math.log(p) + (n - x) * math.log1p(-p)
-            )
-        return c * p**x * (1.0 - p) ** (n - x)
+        except OverflowError:  # C(n, x) exceeds the float range (n of about 1030 and up)
+            c = math.inf
+        if c < math.inf and min(p_x, q_nx) >= sys.float_info.min:
+            return c * p_x * q_nx
+        # log space: a power below the normal range would lose the mass
+        return math.exp(
+            math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+            + x * math.log(p) + (n - x) * math.log1p(-p)
+        )
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         # p = 0 is a degenerate grid point contributing zero mass everywhere.

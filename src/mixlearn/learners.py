@@ -27,6 +27,7 @@ from .moments import (
     round_to_lattice,
 )
 from .powersums import moments_to_power_sums, pmf_to_power_sums, reconstruct_multiset
+from . import sampling
 from .sampling import SampleDataset, sample
 from .scheffe import candidate_family, mde_select, precompute_mde
 
@@ -356,6 +357,7 @@ _worker_experiment = None
 def _start_worker(config: ExperimentConfig, precomputed) -> None:
     global _worker_experiment
     _worker_experiment = (config, precomputed)
+    sampling._sampling_threads = 1  # the pool's processes already use the CPUs
 
 
 def _worker_trial(trial: int) -> TrialRow:

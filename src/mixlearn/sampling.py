@@ -7,7 +7,13 @@ always yields bit-identical datasets:
 
 * component choice: inverse CDF on the cumulative weights
 * binomial(n, p): n Bernoulli draws (uniform < p), summed; the count x n
-  uniform matrix is drawn in row blocks, consumed in row order
+  uniform matrix is drawn in row blocks, consumed in row order. A draw of
+  more than one block is split into at most one contiguous row range per
+  available CPU, of count * i // parts rows before range i; range i starts
+  from a copy of the generator advanced (``PCG64.advance``) past the rows
+  before it, and the generator ends advanced past all rows, so every row
+  reads the stream positions a serial draw would and neither the values nor
+  the generator's later state depend on the number of threads
 * poisson: inverse CDF against a precomputed pmf table
 * geometric(p): floor(log(1-u) / log(1-p))
 * gaussian: Box-Muller cosine branch, one normal per uniform pair
@@ -17,7 +23,9 @@ always yields bit-identical datasets:
 
 from __future__ import annotations
 
+import copy
 import math
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -28,8 +36,13 @@ from .grids import DISCRETE_FAMILIES, Family, MixtureSpec
 
 _BINOMIAL_TRIAL_CAP = 10_000
 _POISSON_RATE_CAP = 10_000.0
-#: uniforms held at once by the binomial sampler (2 MB of float64 scratch)
+#: uniforms held at once by the binomial sampler, its threads together
+#: (2 MB of float64 scratch), unless one row per thread holds more
 _BINOMIAL_BLOCK_ELEMENTS = 2**18
+#: threads one binomial draw may use: the CPUs this process may run on
+#: (``learners._start_worker`` sets 1 in experiment pool workers)
+_sampling_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -93,21 +106,61 @@ def _geometric_inverse(rng: np.random.Generator, p: float, count: int) -> np.nda
     if p >= 1.0:
         return np.zeros(count, dtype=np.int64)
     u = rng.random(count)
-    return np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u /= math.log1p(-p)
+    np.floor(u, out=u)
+    return u.astype(np.int64)
+
+
+def _binomial_range(
+    rng: np.random.Generator, n: int, p: float, out: np.ndarray, rows: int
+) -> None:
+    """Fill ``out`` with the row sums of a len(out) x n Bernoulli(p) matrix,
+    drawn from ``rng`` in blocks of ``rows`` rows through one reused pair of
+    scratch blocks."""
+    rows = min(rows, out.size)
+    u = np.empty((rows, n))
+    hits = np.empty((rows, n), dtype=bool)
+    for start in range(0, out.size, rows):
+        stop = min(start + rows, out.size)
+        block, block_hits = u[: stop - start], hits[: stop - start]
+        rng.random(out=block)
+        np.less(block, p, out=block_hits)
+        np.einsum("ij->i", block_hits, dtype=np.int64, out=out[start:stop])
 
 
 def _binomial_rows(rng: np.random.Generator, n: int, p: float, count: int) -> np.ndarray:
     """Row sums of a count x n Bernoulli(p) matrix, drawn in row blocks.
 
     The uniform stream is consumed row by row exactly as one ``count x n``
-    matrix would consume it, so the result does not depend on the block
-    size; scratch memory is bounded by ``_BINOMIAL_BLOCK_ELEMENTS``.
+    matrix would consume it (see the module docstring for the split across
+    threads), so neither the result nor ``rng``'s later state depends on the
+    block size or the thread count; the threads share one block's scratch.
     """
     out = np.empty(count, dtype=np.int64)
     rows = max(1, _BINOMIAL_BLOCK_ELEMENTS // n)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        out[start:stop] = np.count_nonzero(rng.random((stop - start, n)) < p, axis=1)
+    parts = min(_sampling_threads, -(-count // rows))
+    if parts == 1:
+        _binomial_range(rng, n, p, out, rows)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [count * i // parts for i in range(parts + 1)]
+    rows = max(1, rows // parts)
+    # range i > 0 starts from a copy of rng advanced past the rows before it;
+    # every thread is joined before the call returns
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [
+            pool.submit(_binomial_range,
+                        np.random.Generator(copy.deepcopy(rng.bit_generator).advance(lo * n)),
+                        n, p, out[lo:hi], rows)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        _binomial_range(rng, n, p, out[: bounds[1]], rows)
+    for future in futures:
+        future.result()
+    rng.bit_generator.advance((count - bounds[1]) * n)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,30 @@ def test_binomial_pmf_large_n_uses_log_space():
     small = uniform_spec(grid, (1,), SharedParams(n=40))
     for x in range(41):
         assert pmf_or_pdf(small, x) == math.comb(40, x) * 0.25**x * 0.75 ** (40 - x)
+
+
+def test_binomial_pmf_uses_log_space_on_a_subnormal_power():
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 8), 0, 8)
+    # C(1000, x) fits a float, but (1/8)^400 is below the normal range
+    spec = uniform_spec(grid, (1,), SharedParams(n=1000))
+    for x, mass in ((400, 4.6e-106), (450, 9.4e-142)):
+        assert pmf_or_pdf(spec, x) == pytest.approx(
+            scipy_stats.binom.pmf(x, 1000, 0.125), rel=1e-9)
+        assert pmf_or_pdf(spec, x) == pytest.approx(mass, rel=0.01)
+    # where both powers are normal the direct product is kept bit for bit,
+    # and every mass in the normal range matches scipy
+    for n in (10, 100, 1000):
+        xs = np.arange(n + 1)
+        for index in range(1, 8):
+            p = index / 8
+            spec = uniform_spec(grid, (index,), SharedParams(n=n))
+            ref = scipy_stats.binom.pmf(xs, n, p)
+            for x in range(n + 1):
+                got = pmf_or_pdf(spec, x)
+                if min(p**x, (1.0 - p) ** (n - x)) >= sys.float_info.min:
+                    assert got == math.comb(n, x) * p**x * (1.0 - p) ** (n - x)
+                if ref[x] >= sys.float_info.min:
+                    assert abs(got / ref[x] - 1.0) < 1e-9
 
 
 def test_negative_binomial_pmf_large_count_uses_log_space():

@@ -1,12 +1,17 @@
+import hashlib
 import math
+import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import mixlearn.sampling as sampling
 from mixlearn import (
     DomainError,
+    ExperimentConfig,
     Family,
     MixtureSpec,
     ParameterGrid,
@@ -14,6 +19,7 @@ from mixlearn import (
     SharedParams,
     mixture_moment_exact,
     pmf_or_pdf,
+    run_experiment,
     sample,
     uniform_spec,
 )
@@ -21,6 +27,7 @@ from mixlearn.sampling import (
     _BINOMIAL_BLOCK_ELEMENTS,
     _binomial_rows,
     _component_draws,
+    _geometric_inverse,
     derived_rng,
 )
 
@@ -192,3 +199,174 @@ def _searchsorted_reference_sample(spec, count, seed, stream):
 def test_sample_matches_searchsorted_reference(spec):
     got = sample(spec, 30_000, seed=8, stream=3).values
     assert np.array_equal(got, _searchsorted_reference_sample(spec, 30_000, 8, 3))
+
+
+def _binomial_spec(n, indices=(1, 5)):
+    return uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 8), 0, 8), indices,
+                        SharedParams(n=n))
+
+
+#: sha256 of ``sample(spec, count, seed=5, stream=2).values``, computed with
+#: the serial, one-matrix-per-block sampler. Each binomial component of the
+#: large counts spans two or more row blocks (2**18 // n rows each).
+PINNED_SAMPLES = [
+    ("poisson", uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4)), 20_001,
+     "1678dec6a7bbff3e6e3835cf5333d81653a433b3dec44b38fa35ccf762968834"),
+    ("poisson-k3", MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 8), (0, 2, 7),
+                               (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))), 20_001,
+     "cfd192f8e35e1997f8858c02a926489de2be9520aa3ff9e9ab1bba03cdc8b366"),
+    ("binomial-n1", _binomial_spec(1), 600_001,
+     "d060276dd1e01a8f8b099be7dd02056a9cedd71e47588cd0203e9d87b630221b"),
+    ("binomial-n10-count1", _binomial_spec(10), 1,
+     "35be322d094f9d154a8aba4733b8497f180353bd7ae7b0a15f90b586b549f28b"),
+    ("binomial-n10-count17", _binomial_spec(10), 17,
+     "21d2ad11c91ea3eceb3614f345f784421fc4f10c4a41051defe4099270804a35"),
+    ("binomial-n10", _binomial_spec(10), 60_001,
+     "665d372295dde870949232bd34c330868a52ee453db4b21e1b9b71542ac4352c"),
+    ("binomial-n1000", _binomial_spec(1000), 1_001,
+     "8af808ab49d42d936344094773b6f98c6a2352e96d53a1cf0a82b2fa9e6b535c"),
+    ("binomial-n10000", _binomial_spec(10_000, (1, 3, 5)), 157,
+     "94a5c2186fc47988ff200c2bec7ef9412e703be17536af4363b0ed1506f1b95f"),
+    ("geometric-p", uniform_spec(ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 4), 1, 4), (1, 3)),
+     20_001, "ee6b29fb9a6bc9fb6f9e75e132f2f121797d4e5a45e79c284e2157ffb7ca0259"),
+    ("geometric-u", uniform_spec(ParameterGrid(Family.GEOMETRIC_U, Fraction(1, 2), 0, 6), (0, 2)),
+     20_001, "c7584785bb268a97ab1034401acb88dca394bc979d9301eeaa9b40d2fdaeb633"),
+    ("gaussian", uniform_spec(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), (0, 3),
+                              SharedParams(sigma=0.5)), 20_001,
+     "47dd9af662fe724c242dedb62d68e6fe6bd327cc0d292e69bc4fb30f6334706d"),
+    ("chi-squared", uniform_spec(ParameterGrid(Family.CHI_SQUARED, 1, 1, 5), (2, 5)), 20_001,
+     "623c5ce6d2a7df95e64e06135b6b924f4db13e5d13d14bdbb5b43946d9b4d709"),
+    ("neg-binomial", uniform_spec(ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 4), (1, 3),
+                                  SharedParams(p=Fraction(1, 3))), 20_001,
+     "14eaa07196dabd209d61f1cd7f796bf71d8d078ed0ad68d7f424fed200cb2d8e"),
+]
+
+
+@pytest.mark.parametrize("spec, count, digest", [case[1:] for case in PINNED_SAMPLES],
+                         ids=[case[0] for case in PINNED_SAMPLES])
+def test_sample_arrays_are_frozen(spec, count, digest):
+    values = sample(spec, count, seed=5, stream=2).values
+    assert values.dtype == (np.float64 if spec.family in (Family.GAUSSIAN, Family.CHI_SQUARED)
+                            else np.int64)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+@pytest.mark.parametrize("n, count", [
+    (10, 5 * (_BINOMIAL_BLOCK_ELEMENTS // 10) + 3),
+    (1000, 4 * (_BINOMIAL_BLOCK_ELEMENTS // 1000)),
+    (7, 2 * (_BINOMIAL_BLOCK_ELEMENTS // 7) + 1),
+])
+def test_binomial_rows_do_not_depend_on_the_thread_count(monkeypatch, threads, n, count):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    rng, ref = derived_rng(4, n), derived_rng(4, n)
+    got = _binomial_rows(rng, n, 0.3, count)
+    assert np.array_equal(got, (ref.random((count, n)) < 0.3).sum(axis=1))
+    assert rng.random() == ref.random()
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started during the test, through a counting subclass."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return started
+
+
+def test_a_draw_of_one_block_starts_no_thread(monkeypatch, started_threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", 4)
+    rows = _BINOMIAL_BLOCK_ELEMENTS // 10
+    _binomial_rows(derived_rng(1), 10, 0.3, rows)
+    sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4)), 50_000, seed=1)
+    assert started_threads == []
+    _binomial_rows(derived_rng(1), 10, 0.3, rows + 1)  # two blocks: one more thread
+    assert len(started_threads) == 1
+
+
+def test_no_sampler_thread_outlives_its_call(monkeypatch, started_threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", 3)
+    before = threading.active_count()
+    _binomial_rows(derived_rng(2), 10, 0.3, 5 * (_BINOMIAL_BLOCK_ELEMENTS // 10))
+    assert len(started_threads) == 2
+    assert [t for t in started_threads if t.is_alive()] == []
+    # about five row blocks per component at n = 10
+    sample(_binomial_spec(10), _BINOMIAL_BLOCK_ELEMENTS, seed=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 5])
+def test_binomial_threads_share_one_block_of_scratch(monkeypatch, threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    _binomial_rows(derived_rng(1), 10, 0.3, 10)  # warm up outside the trace
+    count = 10**5
+    tracemalloc.start()
+    try:
+        _binomial_rows(derived_rng(1), 10, 0.3, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 result plus one block of float64 and bool scratch, with room
+    # for einsum's casting buffers but not for a second block
+    assert peak < 8 * count + 9 * _BINOMIAL_BLOCK_ELEMENTS + 2**18
+
+
+def _binomial_experiment():
+    # about 60,000 samples per component: three row blocks each at n = 10
+    return ExperimentConfig(
+        family=Family.BINOMIAL_P, method="moments", eps=Fraction(1, 2), min_index=0,
+        max_index=2, k=2, truth=(1, 2), samples=120_000, trials=2, seed=5, n=10,
+    )
+
+
+def test_parallel_binomial_experiment_matches_serial(monkeypatch):
+    monkeypatch.setattr(sampling, "_sampling_threads", 2)
+    serial = run_experiment(_binomial_experiment())
+    monkeypatch.setenv("MIXLEARN_THREADS", "2")
+    assert run_experiment(_binomial_experiment()).rows == serial.rows
+
+
+def test_pool_workers_sample_on_one_thread(monkeypatch):
+    import mixlearn.learners as learners
+
+    monkeypatch.setattr(sampling, "_sampling_threads", 4)
+    monkeypatch.setattr(learners, "_worker_experiment", None)
+    learners._start_worker(_binomial_experiment(), None)
+    assert sampling._sampling_threads == 1
+
+
+def _fork_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(_binomial_experiment())
+    return [w for w in caught if "multi-threaded" in str(w.message)]
+
+
+def test_no_sampler_thread_is_alive_when_the_pool_forks(monkeypatch):
+    # Python 3.12+ warns at each fork of a process with more than one OS
+    # thread; earlier versions never warn. A BLAS thread pool can make the
+    # process multi-threaded before any sampling, so the count of warnings
+    # before a threaded draw is the baseline.
+    monkeypatch.setenv("MIXLEARN_THREADS", "2")
+    monkeypatch.setattr(sampling, "_sampling_threads", 2)
+    baseline = len(_fork_warnings())
+    sample(_binomial_spec(10), 3 * _BINOMIAL_BLOCK_ELEMENTS // 10, seed=3)
+    assert len(_fork_warnings()) == baseline
+
+
+def test_geometric_sampler_memory_is_bounded():
+    rng = derived_rng(1)
+    _geometric_inverse(rng, 0.25, 10)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        _geometric_inverse(rng, 0.25, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the uniforms and the int64 result, 8 MB each, and no temporaries
+    assert peak < 2 * 8 * 10**6 + 2**20
