@@ -373,10 +373,18 @@ def write_csv(path: PathLike, header: Sequence[str],
         writer.writerows(rows)
 
 
+def _failed_trials(report: ExperimentReport) -> int:
+    return sum(row.error is not None for row in report.rows)
+
+
 def report_to_csv(report: ExperimentReport) -> str:
+    """The trials table; an ``error`` column (the class name of the error
+    that failed the trial, else empty) is added only when a trial failed."""
+    with_errors = _failed_trials(report) > 0
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["trial", "seed", "recovered", "success", "delta_or_residual"])
+    writer.writerow(["trial", "seed", "recovered", "success", "delta_or_residual"]
+                    + ["error"] * with_errors)
     for row in report.rows:
         writer.writerow([
             row.trial,
@@ -384,14 +392,16 @@ def report_to_csv(report: ExperimentReport) -> str:
             " ".join(str(i) for i in row.recovered),
             int(row.success),
             repr(row.delta_or_residual),
-        ])
+        ] + [row.error or ""] * with_errors)
     return buf.getvalue()
 
 
 def report_summary_line(report: ExperimentReport) -> str:
+    failed = _failed_trials(report)
     return (
         f"successes={report.successes}/{report.trials}"
-        f" wall_clock={report.wall_clock:.2f}s"
+        + (f" errors={failed}" if failed else "")
+        + f" wall_clock={report.wall_clock:.2f}s"
     )
 
 

@@ -11,7 +11,12 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .distributions import mixture_moment_exact, mixture_pmf_exact
-from .errors import ContractError, DomainError
+from .errors import (
+    ContractError,
+    DomainError,
+    MomentInconsistencyError,
+    ReconstructionError,
+)
 from .grids import (
     ANALYTIC_FAMILIES,
     Family,
@@ -313,11 +318,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One trial's outcome.  A trial whose learner raises
+    ``MomentInconsistencyError`` or ``ReconstructionError`` (a sample too
+    small for the lattice) is a failed row: nothing recovered, a NaN score,
+    and the error's class name in ``error``."""
+
     trial: int
     seed: int
     recovered: Tuple[int, ...]
     success: bool
     delta_or_residual: float
+    error: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -333,11 +344,16 @@ def _run_trial(config: ExperimentConfig, trial: int, precomputed) -> TrialRow:
     dataset = None
     if not config.oracle:
         dataset = sample(config.truth_spec(), config.samples, config.seed, stream=trial)
-    result = learn(
-        config.method, dataset, config.grid(), config.k, config.shared(),
-        oracle_spec=config.truth_spec() if config.oracle else None,
-        truth=config.truth, precomputed=precomputed,
-    )
+    try:
+        result = learn(
+            config.method, dataset, config.grid(), config.k, config.shared(),
+            oracle_spec=config.truth_spec() if config.oracle else None,
+            truth=config.truth, precomputed=precomputed,
+        )
+    except (MomentInconsistencyError, ReconstructionError) as exc:
+        # errors a sample can cause; any other (contract, domain, cap) aborts
+        return TrialRow(trial=trial, seed=config.seed, recovered=(), success=False,
+                        delta_or_residual=math.nan, error=type(exc).__name__)
     diag = result.diagnostics
     score = diag.get("delta", diag.get("max_solve_residual", 0.0))
     return TrialRow(

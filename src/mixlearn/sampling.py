@@ -5,7 +5,9 @@ All randomness comes from a PCG64 uniform stream seeded as
 fixed transformation of those uniforms, so identical (seed, stream, count)
 always yields bit-identical datasets:
 
-* component choice: inverse CDF on the cumulative weights
+* component choice: inverse CDF on the cumulative weights, read from the
+  first ``count`` uniforms; each component then draws all of its rows in
+  component order, and its draws fill its rows in row order
 * binomial(n, p): n Bernoulli draws (uniform < p), summed; the count x n
   uniform matrix is drawn in row blocks, consumed in row order. A draw of
   more than one block is split into at most one contiguous row range per
@@ -19,6 +21,17 @@ always yields bit-identical datasets:
 * gaussian: Box-Muller cosine branch, one normal per uniform pair
 * chi-squared(d): sum of d squared normals
 * negative binomial(r, p): sum of r geometrics with success prob 1-p
+
+Memory is bounded per draw.  Only two arrays have ``count`` entries: the
+output (8 bytes a draw) and the component choice (1 byte a draw up to 256
+components, the smallest unsigned type that holds k - 1).  The choice
+uniforms are drawn, compared and counted in blocks of ``_CHOICE_BLOCK`` =
+2**16 (512 KB of float64), and each component's draws are placed one block
+of rows at a time and freed before the next component draws.  So a call
+holds at most ``sample_bytes(spec, count)``: those 9 bytes a draw plus the
+family's per-draw bytes (``_DRAW_BYTES``) for the rows of one component,
+plus a few MB of fixed scratch; a call that would hold more than
+``SAMPLE_CAP`` bytes is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,11 +44,25 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import CapExceededError, ContractError, DomainError
 from .grids import DISCRETE_FAMILIES, Family, MixtureSpec
 
 _BINOMIAL_TRIAL_CAP = 10_000
 _POISSON_RATE_CAP = 10_000.0
+#: bytes one ``sample`` call may hold in arrays of ``count`` entries (4 GiB)
+SAMPLE_CAP = 2**32
+#: component-choice uniforms held at once by ``sample`` (512 KB of float64)
+_CHOICE_BLOCK = 2**16
+#: bytes per draw one component's draws hold at their peak, scratch of a
+#: fixed size aside (chi-squared: see ``_draw_bytes``)
+_DRAW_BYTES = {
+    Family.POISSON: 16,  # uniforms, then their int64 indices
+    Family.BINOMIAL_P: 8,  # the int64 counts; the uniforms come in row blocks
+    Family.GEOMETRIC_P: 16,  # uniforms, then their int64 floors
+    Family.GEOMETRIC_U: 16,
+    Family.GAUSSIAN: 16,  # the two uniforms of each normal
+    Family.NEG_BINOMIAL: 24,  # the int64 sum, and one geometric draw
+}
 #: uniforms held at once by the binomial sampler, its threads together
 #: (2 MB of float64 scratch), unless one row per thread holds more
 _BINOMIAL_BLOCK_ELEMENTS = 2**18
@@ -81,9 +108,18 @@ def derived_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    u1 = 1.0 - rng.random(count)  # in (0, 1]
+    """sqrt(-2 log(1 - u1)) * cos(2 pi u2), computed in place in the two
+    uniform arrays."""
+    u1 = rng.random(count)
+    np.subtract(1.0, u1, out=u1)  # in (0, 1]
     u2 = rng.random(count)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def _poisson_inverse(rng: np.random.Generator, lam: float, count: int) -> np.ndarray:
@@ -97,7 +133,7 @@ def _poisson_inverse(rng: np.random.Generator, lam: float, count: int) -> np.nda
         np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1))))
     )
     cdf = np.cumsum(np.exp(logpmf))
-    return np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64)
+    return np.searchsorted(cdf, rng.random(count), side="right")
 
 
 def _geometric_inverse(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
@@ -178,11 +214,15 @@ def _component_draws(
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         return _geometric_inverse(rng, p, count)
     if family is Family.GAUSSIAN:
-        return float(value) + shared.sigma * _normals(rng, count)
+        z = _normals(rng, count)
+        z *= shared.sigma
+        z += float(value)
+        return z
     if family is Family.CHI_SQUARED:
         d = int(value)
         z = _normals(rng, count * d).reshape(count, d)
-        return (z * z).sum(axis=1)
+        np.multiply(z, z, out=z)
+        return z.sum(axis=1)
     if family is Family.NEG_BINOMIAL:
         r, p = int(value), float(shared.p)
         # sum of r geometrics, each with pmf p^x (1-p)
@@ -193,26 +233,87 @@ def _component_draws(
     raise ContractError(f"sampling unsupported for family {family.value}")
 
 
+def _draw_bytes(family: Family, value) -> int:
+    """Bytes per draw a component of parameter ``value`` holds at its peak;
+    a chi-squared component of d degrees holds d normals and their sum."""
+    if family is Family.CHI_SQUARED:
+        return 16 * int(value) + 8
+    return _DRAW_BYTES[family]
+
+
+def sample_bytes(spec: MixtureSpec, count: int) -> int:
+    """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
+    scratch aside: the output, the component choice, and the draws of the
+    costliest component if it took every row."""
+    choice = np.min_scalar_type(spec.k - 1).itemsize
+    draw = max(_draw_bytes(spec.family, value) for value in spec.values())
+    return count * (8 + choice + draw)
+
+
+def _choose_components(rng: np.random.Generator, cumw: np.ndarray, count: int):
+    """The component of each of ``count`` draws, as the smallest unsigned
+    type that holds k - 1, and the number of rows each component takes.
+
+    The component of uniform u is the number of cumulative weights <= u
+    (never the last, 1.0); k - 1 comparison passes cost less than a binary
+    search per value at a mixture's small k.  The uniforms are drawn in
+    blocks of ``_CHOICE_BLOCK``, which reads the stream as one
+    ``rng.random(count)`` does.
+    """
+    k = cumw.size
+    choice = np.zeros(count, dtype=np.min_scalar_type(k - 1))
+    # at_least[c]: rows whose component is c or later; the weights are
+    # nondecreasing, so u >= cumw[c - 1] holds exactly on those rows
+    at_least = np.zeros(k + 1, dtype=np.int64)
+    at_least[0] = count
+    u = np.empty(min(count, _CHOICE_BLOCK))
+    hit = np.empty(u.size, dtype=bool)
+    for lo in range(0, count, _CHOICE_BLOCK):
+        block = choice[lo : lo + _CHOICE_BLOCK]
+        block_u, block_hit = u[: block.size], hit[: block.size]
+        rng.random(out=block_u)
+        for c, w in enumerate(cumw[:-1], start=1):
+            np.greater_equal(block_u, w, out=block_hit)
+            block += block_hit
+            at_least[c] += np.count_nonzero(block_hit)
+    return choice, at_least[:-1] - at_least[1:]
+
+
+def _scatter(out: np.ndarray, choice: np.ndarray, c: int, draws: np.ndarray) -> None:
+    """Write ``draws`` into the rows of ``out`` whose component is ``c``, in
+    row order, one choice block at a time."""
+    taken = 0
+    for lo in range(0, out.size, _CHOICE_BLOCK):
+        rows = np.flatnonzero(choice[lo : lo + _CHOICE_BLOCK] == c)
+        out[lo : lo + _CHOICE_BLOCK][rows] = draws[taken : taken + rows.size]
+        taken += rows.size
+
+
 def sample(
     spec: MixtureSpec, count: int, seed: int, stream: int = 0
 ) -> SampleDataset:
-    """Draw ``count`` i.i.d. samples, deterministic in (seed, stream)."""
+    """Draw ``count`` i.i.d. samples, deterministic in (seed, stream).
+
+    A draw that would hold more than ``SAMPLE_CAP`` bytes (``sample_bytes``)
+    raises ``CapExceededError`` before allocating anything.
+    """
     if count < 1:
         raise DomainError("sample count must be positive")
+    held = sample_bytes(spec, count)
+    if held > SAMPLE_CAP:
+        raise CapExceededError(
+            f"{count} {spec.family.value} draws would hold {held} bytes, "
+            f"over the cap {SAMPLE_CAP}"
+        )
     rng = derived_rng(seed, stream)
     cumw = np.cumsum([float(w) for w in spec.weights])
     cumw[-1] = 1.0
-    u = rng.random(count)
-    # inverse CDF: the component is the number of cumulative weights <= u
-    # (never the last, 1.0); k - 1 comparison passes cost less than a
-    # binary search per value at a mixture's small k
-    choice = np.zeros(count, dtype=np.intp)
-    for w in cumw[:-1]:
-        choice += u >= w
-    dtype = np.int64 if spec.family in DISCRETE_FAMILIES else np.float64
-    out = np.zeros(count, dtype=dtype)
+    choice, rows = _choose_components(rng, cumw, count)
+    out = np.empty(count, dtype=np.int64 if spec.family in DISCRETE_FAMILIES else np.float64)
     for c, value in enumerate(spec.values()):
-        rows = np.flatnonzero(choice == c)
-        if rows.size:
-            out[rows] = _component_draws(rng, spec.family, spec.shared, value, rows.size)
+        if rows[c]:
+            # the draws live only for the call, so each component's are
+            # freed before the next component draws
+            _scatter(out, choice, c,
+                     _component_draws(rng, spec.family, spec.shared, value, int(rows[c])))
     return SampleDataset(family=spec.family, values=out, seed=seed)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import tempfile
@@ -281,6 +282,62 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert len(rows) == 4
     summary = (out_dir / "summary.txt").read_text()
     assert summary.startswith("successes=")
+
+
+def _experiment(tmp_path, text):
+    config = tmp_path / "config.txt"
+    config.write_text(text)
+    rc = cli_dispatch(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
+    return rc, tmp_path / "out"
+
+
+def test_experiment_without_failed_trials_writes_the_same_table(tmp_path, capsys):
+    rc, out_dir = _experiment(
+        tmp_path,
+        "family=binomial-p\nmethod=moments\neps=1/2\nmin_index=0\nmax_index=2\nk=2\n"
+        "truth=1,2\nsamples=200000\ntrials=3\nseed=5\nn=10\n",
+    )
+    assert rc == 0
+    # sha256 of the table written before failed trials became rows
+    assert hashlib.sha256((out_dir / "trials.csv").read_bytes()).hexdigest() == \
+        "24f6eb0a1c49b5e77cb5138350aa4c4c0b8df5d485e2ae0c799920a43fe6eb9b"
+    assert "errors=" not in capsys.readouterr().out
+
+
+def test_experiment_records_a_trial_off_the_lattice_as_a_failed_row(tmp_path, capsys):
+    # at 1,000 samples some trials' power sums round off the lattice; this
+    # config used to abort with "power sum m_2 = 95/18 is 0.278 from an
+    # integer (tolerance 1/4)" and write nothing
+    rc, out_dir = _experiment(
+        tmp_path,
+        "family=binomial-p\nmethod=moments\neps=1/4\nmin_index=0\nmax_index=4\nk=2\n"
+        "truth=1,2\nsamples=1000\ntrials=20\nseed=1\nn=10\n",
+    )
+    assert rc == 0
+    with open(out_dir / "trials.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["trial", "seed", "recovered", "success", "delta_or_residual", "error"]
+    assert [row[0] for row in rows[1:]] == [str(t) for t in range(20)]
+    failed = [row for row in rows[1:] if row[5]]
+    assert failed
+    assert all(row[2:] == ["", "0", "nan", "MomentInconsistencyError"] for row in failed)
+    assert all(row[2] == "1 2" and row[3] == "1" for row in rows[1:] if not row[5])
+    assert f"errors={len(failed)} " in capsys.readouterr().out
+
+
+def test_sample_count_past_the_cap_exit_code(tmp_path, spec_file, capsys):
+    rc = cli_dispatch(["simulate", "--spec", str(spec_file), "--samples", str(10**13),
+                       "--seed", "1", "--out", str(tmp_path / "data.txt")])
+    assert rc == 1
+    assert "over the cap" in capsys.readouterr().err
+    # a cap error in a trial aborts the experiment
+    rc, out_dir = _experiment(
+        tmp_path,
+        "family=binomial-p\nmethod=moments\neps=1/2\nmin_index=0\nmax_index=2\nk=2\n"
+        f"truth=1,2\nsamples={10**13}\ntrials=2\nseed=5\nn=10\n",
+    )
+    assert rc == 1
+    assert not out_dir.exists()
 
 
 def test_usage_error_exit_code():

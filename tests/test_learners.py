@@ -220,6 +220,21 @@ def test_run_experiment_parallel_matches_serial(monkeypatch):
     assert parallel.rows == serial.rows
 
 
+def test_failed_trials_are_rows_in_pool_workers_too(monkeypatch):
+    config = ExperimentConfig(
+        family=Family.BINOMIAL_P, method="moments", eps=Fraction(1, 4), min_index=0,
+        max_index=4, k=2, truth=(1, 2), samples=1000, trials=6, seed=1, n=10,
+    )
+    serial = run_experiment(config)
+    assert {row.error for row in serial.rows} == {None, "MomentInconsistencyError"}
+    assert serial.successes == sum(row.error is None for row in serial.rows)
+    monkeypatch.setenv("MIXLEARN_THREADS", "2")
+    parallel = run_experiment(config)
+    # NaN scores differ from themselves, so compare the rest of each row
+    assert [(r.trial, r.recovered, r.success, r.error) for r in parallel.rows] == \
+        [(r.trial, r.recovered, r.success, r.error) for r in serial.rows]
+
+
 def test_run_experiment_binomial_moments():
     config = ExperimentConfig(
         family=Family.BINOMIAL_P,

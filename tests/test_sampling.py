@@ -10,6 +10,7 @@ import pytest
 
 import mixlearn.sampling as sampling
 from mixlearn import (
+    CapExceededError,
     DomainError,
     ExperimentConfig,
     Family,
@@ -195,6 +196,8 @@ def _searchsorted_reference_sample(spec, count, seed, stream):
     MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 8), (0, 2, 5, 8),
                 (Fraction(1, 10), Fraction(2, 5), Fraction(1, 4), Fraction(1, 4))),
     _spec(Family.BINOMIAL_P, (0, 1, 2), n=50),
+    # more than 256 components: the choice takes two bytes a draw
+    uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 299), tuple(range(300))),
 ])
 def test_sample_matches_searchsorted_reference(spec):
     got = sample(spec, 30_000, seed=8, stream=3).values
@@ -241,6 +244,41 @@ PINNED_SAMPLES = [
      "14eaa07196dabd209d61f1cd7f796bf71d8d078ed0ad68d7f424fed200cb2d8e"),
 ]
 
+#: pins over several blocks of component choice, computed with the sampler
+#: that drew all ``count`` choice uniforms as one array: 3 * 2**16 + 12,345
+#: draws span four blocks of ``_CHOICE_BLOCK`` = 2**16, the last one partial
+_BLOCKS_COUNT = 208_953
+_TINY = Fraction(1, 10**12)
+#: (name, spec, component that draws no row at seed 5, stream 2, digest)
+_EMPTY_COMPONENT_SPECS = [
+    ("poisson-k3-empty-middle",
+     MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4, 7),
+                 (Fraction(1, 2), _TINY, Fraction(1, 2) - _TINY)), 1,
+     "b86a85214254291007ac42eb5a50c5568dc798db0d9ac8bd1e755a3a277d49ac"),
+    ("gaussian-empty-first",
+     MixtureSpec(ParameterGrid(Family.GAUSSIAN, 1, 0, 4), (0, 3), (_TINY, 1 - _TINY),
+                 SharedParams(sigma=0.5)), 0,
+     "c5231f12ff4b517cfbf94c6651a26c8e810a1a636e832b3aabb5c1d13193ad6f"),
+]
+_PINNED_SPECS = {name: spec for name, spec, _, _ in PINNED_SAMPLES}
+PINNED_SAMPLES += [
+    (name + "-blocks", _PINNED_SPECS[name], _BLOCKS_COUNT, digest) for name, digest in [
+        ("poisson", "dab36b5a33f2a82668ac5cc6174dcc138f870caf721585369e4d2858a889c03c"),
+        ("poisson-k3", "e53ec4b554f11b4f633b0273d0287a1c519428c5ac952e645c4d87a317aaddff"),
+        ("binomial-n10", "af4bb895eedec229fe01436dca936d1904ad0e94e03f26b9ffbededec5f2190f"),
+        ("geometric-p", "f06a2d96266740968bda0b16d932905ba8cf3864d6862daf2d453668910e7117"),
+        ("geometric-u", "01b6ae8a25c8fe0ea75eb2b704fe67c1436777bdc2fa0489470858744266608a"),
+        ("gaussian", "73b64ff540f800fc0e05d9673d3aba0ba4076c01f33b8192b88b9a5e0249a472"),
+        ("chi-squared", "acae7e41fcc6f98bd09d60de3c806a1f060600a76dd493a6420553056e0b2c0b"),
+        ("neg-binomial", "16fd60fc0d8477babb3d2867b5c756a2b42381ff1d6dd5daffdb45e626723d30"),
+    ]
+] + [
+    ("binomial-k3-blocks",
+     MixtureSpec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 8), 0, 8), (1, 4, 6),
+                 (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), SharedParams(n=10)),
+     _BLOCKS_COUNT, "b11f7091c00072e7e20e0dc36c734a11dc9a2243e027cac936712c2acc89e6a5"),
+] + [(name, spec, _BLOCKS_COUNT, digest) for name, spec, _, digest in _EMPTY_COMPONENT_SPECS]
+
 
 @pytest.mark.parametrize("spec, count, digest", [case[1:] for case in PINNED_SAMPLES],
                          ids=[case[0] for case in PINNED_SAMPLES])
@@ -249,6 +287,63 @@ def test_sample_arrays_are_frozen(spec, count, digest):
     assert values.dtype == (np.float64 if spec.family in (Family.GAUSSIAN, Family.CHI_SQUARED)
                             else np.int64)
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+def _reference_rows(spec, count, seed, stream=0):
+    """Rows per component, from one binary search per choice uniform."""
+    cumw = np.cumsum([float(w) for w in spec.weights])
+    cumw[-1] = 1.0
+    choice = np.searchsorted(cumw, derived_rng(seed, stream).random(count), side="right")
+    return np.bincount(choice, minlength=spec.k)
+
+
+@pytest.mark.parametrize("spec, empty", [case[1:3] for case in _EMPTY_COMPONENT_SPECS],
+                         ids=[case[0] for case in _EMPTY_COMPONENT_SPECS])
+def test_pinned_component_draws_no_row(spec, empty):
+    assert _BLOCKS_COUNT > 3 * sampling._CHOICE_BLOCK and _BLOCKS_COUNT % sampling._CHOICE_BLOCK
+    assert _reference_rows(spec, _BLOCKS_COUNT, 5, 2)[empty] == 0
+
+
+@pytest.mark.parametrize("family, indices, shared", [
+    (Family.POISSON, (1, 4), {}),
+    (Family.BINOMIAL_P, (1, 2), {"n": 10}),
+    (Family.GEOMETRIC_P, (1, 3), {}),
+    (Family.GEOMETRIC_U, (0, 2), {}),
+    (Family.GAUSSIAN, (0, 3), {"sigma": 1.0}),
+    (Family.CHI_SQUARED, (2, 5), {}),
+    (Family.NEG_BINOMIAL, (1, 3), {"p": Fraction(1, 3)}),
+])
+def test_sample_memory_is_bounded_per_draw(family, indices, shared):
+    spec = _spec(family, indices, **shared)
+    count = 10**6
+    sample(spec, count, seed=1)  # warm up lazy imports and tables outside the trace
+    tracemalloc.start()
+    try:
+        sample(spec, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = _reference_rows(spec, count, 1)
+    draws = max(int(r) * sampling._draw_bytes(family, value)
+                for r, value in zip(rows, spec.values()))
+    # the int64 or float64 output, one byte of choice a draw, the largest
+    # component's draws, and 3 MB of fixed-size scratch
+    assert peak <= 8 * count + count + draws + 3 * 2**20
+    assert peak <= sampling.sample_bytes(spec, count) + 3 * 2**20
+
+
+def test_a_draw_past_the_sample_cap_allocates_nothing():
+    spec = _spec(Family.POISSON, (1, 4))
+    # output, choice and a Poisson component's uniforms and indices
+    assert sampling.sample_bytes(spec, 10**13) == 10**13 * (8 + 1 + 16) > sampling.SAMPLE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            sample(spec, 10**13, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
