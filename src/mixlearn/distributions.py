@@ -6,7 +6,7 @@ import math
 import sys
 from fractions import Fraction
 from math import comb
-from typing import Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -95,29 +95,34 @@ def _component_pdf(
     raise ContractError(f"{family.value} is not a continuous family")
 
 
+def _mix(specs: Sequence[MixtureSpec], component: Callable, out):
+    """out[i] += float(w) * component(v) for each (w, v) of specs[i], in its order
+    and not by ``sum`` (compensated from Python 3.12 on); taken in increasing v,
+    each distinct value's ``component`` row is made once and dropped at the next."""
+    terms = [(v, i, float(w)) for i, spec in enumerate(specs) for w, v in spec.components()]
+    if len(specs) > 1:  # stable; float(v) never falls as v rises, so each spec keeps its order
+        terms.sort(key=lambda term: float(term[0]))
+    last = None
+    for v, i, w in terms:
+        if last is None or v != last:
+            row, last = component(v), v
+        out[i] += w * row
+    return out
+
+
 def pdf_array(spec: MixtureSpec, xs) -> np.ndarray:
     """Mixture density at a point or at every point of an array ``xs``
     (continuous families); the result has the shape of ``xs``."""
     xs = np.asarray(xs, dtype=np.float64)
-    total = np.zeros(xs.shape)
-    for w, v in spec.components():
-        total += float(w) * _component_pdf(spec.family, spec.shared, v, xs)
-    return total
+    component = lambda v: _component_pdf(spec.family, spec.shared, v, xs)
+    return _mix([spec], component, np.zeros((1, *xs.shape)))[0, ...]
 
 
 def pmf_or_pdf(spec: MixtureSpec, x: Real) -> float:
-    """Mixture density (continuous) or mass (discrete) at x.
-
-    Float sums here and in ``cdf`` are plain left-to-right loops, not
-    ``sum``, which compensates from Python 3.12 on; so results do not depend
-    on the Python version.
-    """
+    """Mixture density (continuous) or mass (discrete) at x."""
     if spec.family in DISCRETE_FAMILIES:
         xi = _as_count(x)
-        total = 0.0
-        for w, v in spec.components():
-            total += float(w) * _component_pmf(spec.family, spec.shared, v, xi)
-        return total
+        return _mix([spec], lambda v: _component_pmf(spec.family, spec.shared, v, xi), [0.0])[0]
     return float(pdf_array(spec, x))
 
 
@@ -129,10 +134,7 @@ def cdf(spec: MixtureSpec, x: Real) -> float:
         component_cdf = lambda v: chi_squared_cdf(int(v), float(x))
     else:
         raise ContractError(f"cdf unsupported for family {spec.family.value}")
-    total = 0.0
-    for w, v in spec.components():
-        total += float(w) * component_cdf(v)
-    return total
+    return _mix([spec], component_cdf, [0.0])[0]
 
 
 def _component_charfn(
@@ -166,12 +168,11 @@ def char_fn(spec: MixtureSpec, t):
     ``complex`` for a scalar ``t``, an array of the shape of ``t`` for an
     array."""
     ts = np.asarray(t, dtype=np.float64)
-    total = np.zeros(ts.shape, dtype=np.complex128)
+    component = lambda v: _component_charfn(spec.family, spec.shared, v, ts)
     # as in Python complex arithmetic, a |t| near the float limit overflows
     # to 0, inf or nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, v in spec.components():
-            total += _component_charfn(spec.family, spec.shared, v, ts) * float(w)
+        total = _mix([spec], component, np.zeros((1, *ts.shape), dtype=np.complex128))[0]
     return complex(total) if total.ndim == 0 else total
 
 

@@ -398,6 +398,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     (trial i uses sampling stream i)."""
     start = time.monotonic()
     _route(config.method, config.family)  # before any precompute or sampling
+    if not config.oracle:  # and the sample count
+        sampling._check_count(config.truth_spec(), config.samples)
     precomputed = None
     if config.method == "mde":
         precomputed = precompute_mde(_candidates(config.grid(), config.k, config.shared()))

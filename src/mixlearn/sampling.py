@@ -250,6 +250,19 @@ def sample_bytes(spec: MixtureSpec, count: int) -> int:
     return count * (8 + choice + draw)
 
 
+def _check_count(spec: MixtureSpec, count: int) -> None:
+    """Refuse a count below 1, or a draw that would hold more than ``SAMPLE_CAP``
+    bytes (``sample_bytes``), before anything is allocated."""
+    if count < 1:
+        raise DomainError("sample count must be positive")
+    held = sample_bytes(spec, count)
+    if held > SAMPLE_CAP:
+        raise CapExceededError(
+            f"{count} {spec.family.value} draws would hold {held} bytes, "
+            f"over the cap {SAMPLE_CAP}"
+        )
+
+
 def _choose_components(rng: np.random.Generator, cumw: np.ndarray, count: int):
     """The component of each of ``count`` draws, as the smallest unsigned
     type that holds k - 1, and the number of rows each component takes.
@@ -292,19 +305,8 @@ def _scatter(out: np.ndarray, choice: np.ndarray, c: int, draws: np.ndarray) -> 
 def sample(
     spec: MixtureSpec, count: int, seed: int, stream: int = 0
 ) -> SampleDataset:
-    """Draw ``count`` i.i.d. samples, deterministic in (seed, stream).
-
-    A draw that would hold more than ``SAMPLE_CAP`` bytes (``sample_bytes``)
-    raises ``CapExceededError`` before allocating anything.
-    """
-    if count < 1:
-        raise DomainError("sample count must be positive")
-    held = sample_bytes(spec, count)
-    if held > SAMPLE_CAP:
-        raise CapExceededError(
-            f"{count} {spec.family.value} draws would hold {held} bytes, "
-            f"over the cap {SAMPLE_CAP}"
-        )
+    """Draw ``count`` i.i.d. samples, deterministic in (seed, stream), after ``_check_count``."""
+    _check_count(spec, count)
     rng = derived_rng(seed, stream)
     cumw = np.cumsum([float(w) for w in spec.weights])
     cumw[-1] = 1.0

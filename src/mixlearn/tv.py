@@ -13,7 +13,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import cdf, char_fn, mgf_a2x, pdf_array, pmf_or_pdf
+from .distributions import _component_pmf, _mix, cdf, char_fn, mgf_a2x, pdf_array, pmf_or_pdf
 from .errors import (
     CapExceededError,
     CertificateUnavailableError,
@@ -178,19 +178,19 @@ def discrete_truncation(spec: MixtureSpec, target: float) -> int:
 
 
 def mass_table(specs: Sequence[MixtureSpec], x_max: int) -> np.ndarray:
-    """len(specs) x (x_max+1) table of the masses at 0..x_max, the one place
-    discrete masses are tabulated.  A table over ``MASS_TABLE_CAP`` entries
-    is refused before any mass is evaluated."""
+    """len(specs) x (x_max+1) table of the masses at 0..x_max of specs of one family
+    and shared parameters, mixed by ``_mix`` from one row per distinct component.
+    A table over ``MASS_TABLE_CAP`` entries is refused before any mass is evaluated."""
     if x_max < 0:
         raise DomainError(f"mass table end {x_max} is negative")
     width = x_max + 1
     if len(specs) * width > MASS_TABLE_CAP:
         raise CapExceededError(f"a {len(specs)} x {width} mass table exceeds the "
                                f"cap {MASS_TABLE_CAP}")
-    table = np.empty((len(specs), width))
-    for row, spec in zip(table, specs):
-        row[:] = np.fromiter((pmf_or_pdf(spec, x) for x in range(width)), float, width)
-    return table
+    fam, shared = specs[0].family, specs[0].shared
+    component = lambda v: np.fromiter(
+        (_component_pmf(fam, shared, v, x) for x in range(width)), float, width)
+    return _mix(specs, component, np.zeros((len(specs), width)))
 
 
 def _continuous_range(spec: MixtureSpec, target: float) -> Tuple[float, float]:

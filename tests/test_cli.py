@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixlearn import cli
+from mixlearn import cli, learners
 from mixlearn.cli import cli_dispatch
 from mixlearn.distributions import pmf_or_pdf
 from mixlearn.fileio import read_dataset, read_spec
@@ -337,6 +337,21 @@ def test_sample_count_past_the_cap_exit_code(tmp_path, spec_file, capsys):
         f"truth=1,2\nsamples={10**13}\ntrials=2\nseed=5\nn=10\n",
     )
     assert rc == 1
+    assert not out_dir.exists()
+
+
+def test_experiment_past_the_sample_cap_exits_before_the_precompute(tmp_path, monkeypatch,
+                                                                     capsys):
+    calls = []
+    monkeypatch.setattr(learners, "precompute_mde", lambda cands: calls.append(cands))
+    rc, out_dir = _experiment(
+        tmp_path,
+        "family=poisson\nmethod=mde\neps=1\nmin_index=0\nmax_index=20\nk=2\n"
+        f"truth=1,4\nsamples={10**13}\ntrials=2\nseed=1\n",
+    )
+    assert rc == 1
+    assert "over the cap" in capsys.readouterr().err
+    assert calls == []
     assert not out_dir.exists()
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -20,8 +21,68 @@ from mixlearn import (
     pmf_or_pdf,
     uniform_spec,
 )
-from mixlearn.distributions import mgf_a2x, pdf_array
+from mixlearn.distributions import (
+    _as_count,
+    _component_charfn,
+    _component_pdf,
+    _component_pmf,
+    mgf_a2x,
+    pdf_array,
+)
+from mixlearn.grids import ANALYTIC_FAMILIES, DISCRETE_FAMILIES, MixtureSpec
 from mixlearn.polynomials import moment_polynomial
+from mixlearn.special import chi_squared_cdf, normal_cdf
+from mixlearn.tv import mass_table
+
+
+# The per-spec mixing loops that ``_mix`` replaced, kept as the reference it
+# must match bit for bit.
+
+def _reference_pdf_array(spec, xs):
+    xs = np.asarray(xs, dtype=np.float64)
+    total = np.zeros(xs.shape)
+    for w, v in spec.components():
+        total += float(w) * _component_pdf(spec.family, spec.shared, v, xs)
+    return total
+
+
+def _reference_pmf_or_pdf(spec, x):
+    if spec.family in DISCRETE_FAMILIES:
+        xi = _as_count(x)
+        total = 0.0
+        for w, v in spec.components():
+            total += float(w) * _component_pmf(spec.family, spec.shared, v, xi)
+        return total
+    return float(_reference_pdf_array(spec, x))
+
+
+def _reference_cdf(spec, x):
+    if spec.family is Family.GAUSSIAN:
+        component_cdf = lambda v: normal_cdf(float(x), float(v), spec.shared.sigma)
+    else:
+        component_cdf = lambda v: chi_squared_cdf(int(v), float(x))
+    total = 0.0
+    for w, v in spec.components():
+        total += float(w) * component_cdf(v)
+    return total
+
+
+def _reference_char_fn(spec, t):
+    ts = np.asarray(t, dtype=np.float64)
+    total = np.zeros(ts.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, v in spec.components():
+            total += _component_charfn(spec.family, spec.shared, v, ts) * float(w)
+    return complex(total) if total.ndim == 0 else total
+
+
+def _reference_mass_table(specs, x_max):
+    width = x_max + 1
+    table = np.empty((len(specs), width))
+    for row, spec in zip(table, specs):
+        row[:] = np.fromiter((_reference_pmf_or_pdf(spec, x) for x in range(width)),
+                             float, width)
+    return table
 
 
 def _poisson_spec(indices, max_index=6):
@@ -244,3 +305,68 @@ def test_mgf_a2x_divergence():
     assert math.isinf(mgf_a2x(Family.GEOMETRIC_P, None, Fraction(1, 4), 2.0))
     finite = mgf_a2x(Family.GEOMETRIC_P, None, Fraction(3, 4), 1.5)
     assert finite == pytest.approx(0.75 / (1.0 - 0.25 * 2.25))
+
+
+def _draw_grid(draw, family):
+    if family in (Family.BINOMIAL_P, Family.GEOMETRIC_P):
+        m = draw(st.integers(1, 12))
+        return ParameterGrid(family, Fraction(1, m), 0, m)
+    if family is Family.GEOMETRIC_U:
+        return ParameterGrid(family, Fraction(1, draw(st.integers(1, 4))), 0, 12)
+    if family is Family.GAUSSIAN:
+        lo = draw(st.integers(-8, 0))
+        return ParameterGrid(family, Fraction(1, draw(st.integers(1, 4))), lo, lo + 8)
+    lo = draw(st.integers(1 if family in (Family.CHI_SQUARED, Family.NEG_BINOMIAL) else 0, 6))
+    return ParameterGrid(family, 1, lo, lo + draw(st.integers(0, 30)))
+
+
+@st.composite
+def _spec_lists(draw):
+    """One to four specs of one family and shared parameters on one or two
+    grids, with repeated values where the family allows them and unequal
+    weights."""
+    family = draw(st.sampled_from(sorted(Family, key=lambda f: f.value)))
+    shared = SharedParams(
+        n=draw(st.integers(1, 40)) if family is Family.BINOMIAL_P else None,
+        sigma=draw(st.sampled_from([0.25, 1.0, 1.5])) if family is Family.GAUSSIAN else None,
+        p=(draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)]))
+           if family is Family.NEG_BINOMIAL else None),
+    )
+    grids = [_draw_grid(draw, family) for _ in range(draw(st.integers(1, 2)))]
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        grid = draw(st.sampled_from(grids))
+        k = draw(st.integers(1, min(4, grid.size)))
+        indices = draw(st.lists(st.sampled_from(list(grid.indices())), min_size=k,
+                                max_size=k, unique=family in ANALYTIC_FAMILIES))
+        raw = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        weights = tuple(Fraction(r, sum(raw)) for r in raw)
+        specs.append(MixtureSpec(grid, tuple(indices), weights, shared))
+    return specs
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=_spec_lists())
+def test_mixing_matches_the_per_spec_loops_bit_for_bit(specs):
+    family = specs[0].family
+    ts = np.linspace(-7.0, 7.0, 29)
+    for spec in specs:
+        assert char_fn(spec, ts).tobytes() == _reference_char_fn(spec, ts).tobytes()
+        assert repr(char_fn(spec, 1.25)) == repr(_reference_char_fn(spec, 1.25))
+    if family in DISCRETE_FAMILIES:
+        x_max = specs[0].shared.n if family is Family.BINOMIAL_P else 30
+        for spec in specs:
+            for x in range(x_max + 1):
+                assert repr(pmf_or_pdf(spec, x)) == repr(_reference_pmf_or_pdf(spec, x))
+        table = mass_table(specs, x_max)
+        assert table.tobytes() == _reference_mass_table(specs, x_max).tobytes()
+        return
+    lo = -12.0 if family is Family.GAUSSIAN else 0.05
+    xs = np.linspace(lo, 30.0, 97)
+    for spec in specs:
+        assert pdf_array(spec, xs).tobytes() == _reference_pdf_array(spec, xs).tobytes()
+        point = pdf_array(spec, 2.5)
+        assert point.shape == () and point.tobytes() == _reference_pdf_array(spec, 2.5).tobytes()
+        for x in xs[::8].tolist():
+            assert repr(pmf_or_pdf(spec, x)) == repr(_reference_pmf_or_pdf(spec, x))
+            assert repr(cdf(spec, x)) == repr(_reference_cdf(spec, x))

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from mixlearn import (
+    CapExceededError,
     ContractError,
     candidate_family,
     DomainError,
@@ -21,6 +22,7 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
+from mixlearn import learners
 from mixlearn.learners import (
     gaussian_grid_from_data,
     moments_order_binomial,
@@ -195,6 +197,19 @@ def _poisson_config(trials=4, oracle=False):
         seed=11,
         oracle=oracle,
     )
+
+
+@pytest.mark.parametrize("samples, error", [(10**13, CapExceededError), (0, DomainError)])
+def test_run_experiment_refuses_a_sample_count_before_the_precompute(monkeypatch, samples,
+                                                                     error):
+    calls = []
+    monkeypatch.setattr(learners, "precompute_mde", lambda cands: calls.append(cands))
+    config = ExperimentConfig(family=Family.POISSON, method="mde", eps=Fraction(1),
+                              min_index=0, max_index=20, k=2, truth=(1, 4),
+                              samples=samples, trials=2, seed=1)
+    with pytest.raises(error):
+        run_experiment(config)
+    assert calls == []
 
 
 def test_run_experiment_deterministic():

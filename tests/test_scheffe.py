@@ -364,13 +364,14 @@ def test_discrete_sets_are_bounded(monkeypatch):
     with pytest.raises(DomainError):
         tv.mass_table([a, b], -1)
     calls = []
-    monkeypatch.setattr(tv, "pmf_or_pdf",
-                        lambda spec, x: calls.append(x) or pmf_or_pdf(spec, x))
+    component_pmf = tv._component_pmf
+    monkeypatch.setattr(tv, "_component_pmf", lambda family, shared, value, x:
+                        calls.append(x) or component_pmf(family, shared, value, x))
     with pytest.raises(CapExceededError):
         scheffe_set(a, b, x_max=tv.MASS_TABLE_CAP)
     assert calls == []
     assert scheffe_set(a, b, x_max=3) == _reference_scheffe_set(a, b, x_max=3)
-    assert len(calls) == 8
+    assert len(calls) == 16  # 4 distinct components x 4 points
 
 
 def test_mde_scores_one_ulp_apart_tie_by_index_order():

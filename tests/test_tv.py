@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -382,15 +383,16 @@ def test_discrete_tv_sums_left_to_right():
 
 def test_mass_table_over_the_cap_evaluates_no_mass(monkeypatch):
     calls = []
-    monkeypatch.setattr(tv, "pmf_or_pdf",
-                        lambda spec, x: calls.append(x) or pmf_or_pdf(spec, x))
+    component_pmf = tv._component_pmf
+    monkeypatch.setattr(tv, "_component_pmf", lambda family, shared, value, x:
+                        calls.append(x) or component_pmf(family, shared, value, x))
     specs = [_poisson((1,)), _poisson((2, 3))]
     with pytest.raises(CapExceededError):
         tv.mass_table(specs, tv.MASS_TABLE_CAP // 2)
     assert calls == []
     monkeypatch.setattr(tv, "MASS_TABLE_CAP", 10)
     table = tv.mass_table(specs, 4)
-    assert len(calls) == 10
+    assert len(calls) == 15  # 3 distinct components x 5 points
     assert table.tolist() == [[pmf_or_pdf(s, x) for x in range(5)] for s in specs]
     calls.clear()
     with pytest.raises(CapExceededError):
@@ -398,6 +400,44 @@ def test_mass_table_over_the_cap_evaluates_no_mass(monkeypatch):
     with pytest.raises(CapExceededError):
         tv_exact(_poisson((1,)), _poisson((2,)))
     assert calls == []
+
+
+def test_mass_table_evaluates_each_distinct_component_once(monkeypatch):
+    calls = []
+    component_pmf = tv._component_pmf
+    monkeypatch.setattr(tv, "_component_pmf", lambda family, shared, value, x:
+                        calls.append(value) or component_pmf(family, shared, value, x))
+    # 15 candidates on 6 rates; then two grids whose values meet at 0, 1/4, 1/2
+    # and 3/4, with a repeated value in one spec
+    specs = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    quarters = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 4), 0, 3)
+    eighths = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 8), 0, 7)
+    for specs, distinct in ((specs, 6),
+                            ([uniform_spec(eighths, (1, 2, 2, 6)),
+                              uniform_spec(quarters, (1, 3)),
+                              uniform_spec(eighths, (0, 4, 5))], 6)):
+        calls.clear()
+        table = tv.mass_table(specs, 9)
+        assert len(calls) == distinct * 10
+        assert len(set(calls)) == distinct
+        assert table.tolist() == [[pmf_or_pdf(s, x) for x in range(10)] for s in specs]
+
+
+def test_mass_table_holds_the_table_and_about_one_component_row():
+    # 16 distinct rates: a table that kept every component row would hold
+    # 16 rows (8 MB) beside the 1 MB table
+    grid = ParameterGrid(Family.POISSON, 1, 0, 20)
+    specs = [uniform_spec(grid, range(0, 16, 2)), uniform_spec(grid, range(1, 16, 2))]
+    width = 2**16
+    row_bytes = 8 * width
+    tracemalloc.start()
+    try:
+        table = tv.mass_table(specs, width - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 2 * row_bytes
+    assert peak < table.nbytes + 2 * row_bytes + 2**20
 
 
 SURVEY_GRIDS = {  # family: (smallest index, shared parameters)
