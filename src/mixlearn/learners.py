@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -365,54 +364,38 @@ def _run_trial(config: ExperimentConfig, trial: int, precomputed) -> TrialRow:
     )
 
 
-#: (config, precomputed) of the experiment a pool worker runs trials of,
-#: sent once per worker by ``_start_worker``, the pool's initializer
-_worker_experiment = None
-
-
-def _start_worker(config: ExperimentConfig, precomputed) -> None:
-    global _worker_experiment
-    _worker_experiment = (config, precomputed)
-    sampling._sampling_threads = 1  # the pool's processes already use the CPUs
-
-
-def _worker_trial(trial: int) -> TrialRow:
-    config, precomputed = _worker_experiment
-    return _run_trial(config, trial, precomputed)
-
-
-def worker_count() -> int:
-    """Parallelism cap from MIXLEARN_THREADS (0 or unset = auto -> 1)."""
-    raw = os.environ.get("MIXLEARN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"MIXLEARN_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise DomainError("MIXLEARN_THREADS must be nonnegative")
-    return n if n > 0 else 1
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Per-trial sample -> learn -> compare; deterministic in the base seed
-    (trial i uses sampling stream i)."""
+    (trial i uses sampling stream i).
+
+    Trials run on ``min(CPUs, trials, SAMPLE_CAP // sample_bytes)`` threads
+    (``min(CPUs, trials)`` in oracle mode), sharing the MDE tables, and each
+    draws on ``CPUs // threads`` of the CPUs; the rows come back in trial
+    order.  An aborting error in a trial is raised once the running trials
+    end, and the trials not yet started are cancelled.
+    """
     start = time.monotonic()
     _route(config.method, config.family)  # before any precompute or sampling
-    if not config.oracle:  # and the sample count
+    workers = max(1, min(sampling._sampling_threads, config.trials))
+    if not config.oracle:  # the sample count too, and the draws held at once
         sampling._check_count(config.truth_spec(), config.samples)
+        workers = min(workers, sampling.SAMPLE_CAP
+                      // sampling.sample_bytes(config.truth_spec(), config.samples))
     precomputed = None
     if config.method == "mde":
         precomputed = precompute_mde(_candidates(config.grid(), config.k, config.shared()))
-    workers = worker_count()
-    trials = list(range(config.trials))
-    if workers > 1 and not config.oracle:
-        from concurrent.futures import ProcessPoolExecutor
+    share = max(1, sampling._sampling_threads // workers)
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                 initargs=(config, precomputed)) as pool:
-            rows = list(pool.map(_worker_trial, trials))
-    else:
-        rows = [_run_trial(config, i, precomputed) for i in trials]
+    def run_trial(trial: int) -> TrialRow:
+        sampling._draw_threads.set(share)  # in this pool thread's own context
+        return _run_trial(config, trial, precomputed)
+
+    from concurrent.futures import ThreadPoolExecutor  # not at import: it costs ~10 ms
+
+    # map cancels the trials not yet started once a result raises, and the
+    # pool's exit waits for the running ones
+    with ThreadPoolExecutor(workers) as pool:
+        rows = list(pool.map(run_trial, range(config.trials)))
     return ExperimentReport(
         config=config,
         rows=tuple(rows),

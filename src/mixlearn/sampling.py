@@ -11,15 +11,21 @@ always yields bit-identical datasets:
 * binomial(n, p): n Bernoulli draws (uniform < p), summed; the count x n
   uniform matrix is drawn in row blocks, consumed in row order. A draw of
   more than one block is split into at most one contiguous row range per
-  available CPU, of count * i // parts rows before range i; range i starts
+  available CPU (per CPU of its share, on an experiment's trial thread),
+  of count * i // parts rows before range i; range i starts
   from a copy of the generator advanced (``PCG64.advance``) past the rows
   before it, and the generator ends advanced past all rows, so every row
   reads the stream positions a serial draw would and neither the values nor
   the generator's later state depend on the number of threads
 * poisson: inverse CDF against a precomputed pmf table
 * geometric(p): floor(log(1-u) / log(1-p))
-* gaussian: Box-Muller cosine branch, one normal per uniform pair
-* chi-squared(d): sum of d squared normals
+* gaussian: Box-Muller cosine branch, one normal per uniform pair: the
+  first uniforms of all ``count`` normals, then their second uniforms
+* chi-squared(d): sum of d squared normals, the count x d normals read from
+  the stream as one gaussian draw of count * d; they are drawn in row
+  blocks, each block's second uniforms from a copy of the generator
+  advanced past all the first ones, and the generator ends advanced past
+  both, so neither the values nor its later state depend on the block size
 * negative binomial(r, p): sum of r geometrics with success prob 1-p
 
 Memory is bounded per draw.  Only two arrays have ``count`` entries: the
@@ -36,6 +42,7 @@ plus a few MB of fixed scratch; a call that would hold more than
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
 import os
@@ -51,25 +58,30 @@ _BINOMIAL_TRIAL_CAP = 10_000
 _POISSON_RATE_CAP = 10_000.0
 #: bytes one ``sample`` call may hold in arrays of ``count`` entries (4 GiB)
 SAMPLE_CAP = 2**32
-#: component-choice uniforms held at once by ``sample`` (512 KB of float64)
+#: component-choice uniforms held at once by ``sample``, and each of the
+#: two uniform blocks of the chi-squared sampler (512 KB of float64)
 _CHOICE_BLOCK = 2**16
 #: bytes per draw one component's draws hold at their peak, scratch of a
-#: fixed size aside (chi-squared: see ``_draw_bytes``)
+#: fixed size aside
 _DRAW_BYTES = {
     Family.POISSON: 16,  # uniforms, then their int64 indices
     Family.BINOMIAL_P: 8,  # the int64 counts; the uniforms come in row blocks
     Family.GEOMETRIC_P: 16,  # uniforms, then their int64 floors
     Family.GEOMETRIC_U: 16,
     Family.GAUSSIAN: 16,  # the two uniforms of each normal
+    Family.CHI_SQUARED: 8,  # the float64 sums; the normals come in row blocks
     Family.NEG_BINOMIAL: 24,  # the int64 sum, and one geometric draw
 }
 #: uniforms held at once by the binomial sampler, its threads together
 #: (2 MB of float64 scratch), unless one row per thread holds more
 _BINOMIAL_BLOCK_ELEMENTS = 2**18
-#: threads one binomial draw may use: the CPUs this process may run on
-#: (``learners._start_worker`` sets 1 in experiment pool workers)
+#: the CPUs this process may run on: the threads one binomial draw may
+#: use, and at most the trial threads of ``learners.run_experiment``
 _sampling_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
+#: the threads one binomial draw may use in the current context, when set:
+#: ``run_experiment``'s trial threads each take their share of the CPUs
+_draw_threads = contextvars.ContextVar("_draw_threads")
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class SampleDataset:
             if arr.size and arr.min() < 0:
                 raise DomainError("discrete dataset has negative values")
         else:
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, copy=False)  # sample's output is not copied
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -107,12 +119,10 @@ def derived_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
-def _normals(rng: np.random.Generator, count: int) -> np.ndarray:
+def _normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """sqrt(-2 log(1 - u1)) * cos(2 pi u2), computed in place in the two
-    uniform arrays."""
-    u1 = rng.random(count)
+    uniform arrays; returns u1."""
     np.subtract(1.0, u1, out=u1)  # in (0, 1]
-    u2 = rng.random(count)
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
@@ -176,7 +186,7 @@ def _binomial_rows(rng: np.random.Generator, n: int, p: float, count: int) -> np
     """
     out = np.empty(count, dtype=np.int64)
     rows = max(1, _BINOMIAL_BLOCK_ELEMENTS // n)
-    parts = min(_sampling_threads, -(-count // rows))
+    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows))
     if parts == 1:
         _binomial_range(rng, n, p, out, rows)
         return out
@@ -200,6 +210,31 @@ def _binomial_rows(rng: np.random.Generator, n: int, p: float, count: int) -> np
     return out
 
 
+def _chi_squared_rows(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """Row sums of a count x d matrix of squared normals, drawn in row blocks
+    of at most ``_CHOICE_BLOCK`` normals.
+
+    The stream is read as one ``count * d`` gaussian draw reads it (see the
+    module docstring), so neither the result nor ``rng``'s later state
+    depends on the block size.
+    """
+    out = np.empty(count)
+    rows = min(count, max(1, _CHOICE_BLOCK // d))
+    u1, u2 = np.empty((rows, d)), np.empty((rows, d))
+    # the second uniforms start after all count * d first ones
+    second = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(count * d))
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        z, block_u2 = u1[: stop - start], u2[: stop - start]
+        rng.random(out=z)
+        second.random(out=block_u2)
+        _normals(z, block_u2)
+        np.multiply(z, z, out=z)
+        np.sum(z, axis=1, out=out[start:stop])
+    rng.bit_generator.advance(count * d)
+    return out
+
+
 def _component_draws(
     rng: np.random.Generator, family: Family, shared, value, count: int
 ) -> np.ndarray:
@@ -214,15 +249,12 @@ def _component_draws(
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         return _geometric_inverse(rng, p, count)
     if family is Family.GAUSSIAN:
-        z = _normals(rng, count)
+        z = _normals(rng.random(count), rng.random(count))
         z *= shared.sigma
         z += float(value)
         return z
     if family is Family.CHI_SQUARED:
-        d = int(value)
-        z = _normals(rng, count * d).reshape(count, d)
-        np.multiply(z, z, out=z)
-        return z.sum(axis=1)
+        return _chi_squared_rows(rng, int(value), count)
     if family is Family.NEG_BINOMIAL:
         r, p = int(value), float(shared.p)
         # sum of r geometrics, each with pmf p^x (1-p)
@@ -233,21 +265,12 @@ def _component_draws(
     raise ContractError(f"sampling unsupported for family {family.value}")
 
 
-def _draw_bytes(family: Family, value) -> int:
-    """Bytes per draw a component of parameter ``value`` holds at its peak;
-    a chi-squared component of d degrees holds d normals and their sum."""
-    if family is Family.CHI_SQUARED:
-        return 16 * int(value) + 8
-    return _DRAW_BYTES[family]
-
-
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
-    scratch aside: the output, the component choice, and the draws of the
-    costliest component if it took every row."""
+    scratch aside: the output, the component choice, and the draws of one
+    component if it took every row."""
     choice = np.min_scalar_type(spec.k - 1).itemsize
-    draw = max(_draw_bytes(spec.family, value) for value in spec.values())
-    return count * (8 + choice + draw)
+    return count * (8 + choice + _DRAW_BYTES[spec.family])
 
 
 def _check_count(spec: MixtureSpec, count: int) -> None:

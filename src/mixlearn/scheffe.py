@@ -295,7 +295,8 @@ def mde_select(
             raise DomainError(f"dataset family {data.family.value} disagrees with the "
                               f"candidates' family {fam.value}")
         emp = _hits(data, sets) / len(data)
-    scores = np.abs(probs - emp[None, :]).max(axis=1)
+    gaps = probs - emp[None, :]  # the one table-sized temporary
+    scores = np.abs(gaps, out=gaps).max(axis=1)
     tol = TIE_ULPS * np.finfo(np.float64).eps
     tied = np.flatnonzero(scores <= scores.min() + tol).tolist()
     winner = min(tied, key=lambda i: candidates[i].indices)

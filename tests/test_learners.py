@@ -1,4 +1,7 @@
 import os
+import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,12 +25,11 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
-from mixlearn import learners
+from mixlearn import learners, sampling
 from mixlearn.learners import (
     gaussian_grid_from_data,
     moments_order_binomial,
     moments_order_geometric_u,
-    worker_count,
 )
 
 
@@ -171,18 +173,6 @@ def test_mde_sample_size_formula():
         mde_sample_size(15, 0.0)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MIXLEARN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("MIXLEARN_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.delenv("MIXLEARN_THREADS")
-    assert worker_count() == 1
-    monkeypatch.setenv("MIXLEARN_THREADS", "many")
-    with pytest.raises(DomainError):
-        worker_count()
-
-
 def _poisson_config(trials=4, oracle=False):
     return ExperimentConfig(
         family=Family.POISSON,
@@ -228,10 +218,18 @@ def test_run_experiment_oracle_mode_all_success():
     assert report.successes == 2
 
 
+def _at_one_and_two_cpus(monkeypatch, config):
+    """The reports of ``config`` run with 1 and with 2 CPUs, so on 1 and on
+    up to 2 trial threads."""
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampling, "_sampling_threads", cpus)
+        reports.append(run_experiment(config))
+    return reports
+
+
 def test_run_experiment_parallel_matches_serial(monkeypatch):
-    serial = run_experiment(_poisson_config())
-    monkeypatch.setenv("MIXLEARN_THREADS", "2")
-    parallel = run_experiment(_poisson_config())
+    serial, parallel = _at_one_and_two_cpus(monkeypatch, _poisson_config())
     assert parallel.rows == serial.rows
 
 
@@ -240,14 +238,82 @@ def test_failed_trials_are_rows_in_pool_workers_too(monkeypatch):
         family=Family.BINOMIAL_P, method="moments", eps=Fraction(1, 4), min_index=0,
         max_index=4, k=2, truth=(1, 2), samples=1000, trials=6, seed=1, n=10,
     )
-    serial = run_experiment(config)
+    serial, parallel = _at_one_and_two_cpus(monkeypatch, config)
     assert {row.error for row in serial.rows} == {None, "MomentInconsistencyError"}
     assert serial.successes == sum(row.error is None for row in serial.rows)
-    monkeypatch.setenv("MIXLEARN_THREADS", "2")
-    parallel = run_experiment(config)
-    # NaN scores differ from themselves, so compare the rest of each row
-    assert [(r.trial, r.recovered, r.success, r.error) for r in parallel.rows] == \
-        [(r.trial, r.recovered, r.success, r.error) for r in serial.rows]
+    # in a repr a NaN score equals itself
+    assert repr(parallel.rows) == repr(serial.rows)
+
+
+def test_oracle_rows_do_not_depend_on_the_trial_threads(monkeypatch):
+    serial, parallel = _at_one_and_two_cpus(monkeypatch, _poisson_config(trials=6, oracle=True))
+    assert parallel.rows == serial.rows
+    assert parallel.successes == 6
+
+
+def test_an_experiment_of_no_trials_reports_no_rows():
+    report = run_experiment(_poisson_config(trials=0))
+    assert (report.rows, report.successes) == ((), 0)
+
+
+def test_eight_trial_threads_switching_often_keep_the_serial_rows(monkeypatch):
+    # the trials share the MDE tables; more threads than a CI runner's cores
+    config = _poisson_config(trials=8)
+    monkeypatch.setattr(sampling, "_sampling_threads", 1)
+    serial = run_experiment(config)
+    monkeypatch.setattr(sampling, "_sampling_threads", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_experiment(config).rows
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == serial.rows
+
+
+def test_an_aborting_trial_raises_the_error_a_serial_run_raises(monkeypatch):
+    started = []
+
+    def sample_or_abort(spec, count, seed, stream=0):
+        started.append(stream)
+        # trial 2 aborts before trial 1 does, but trial 1's error is the one
+        # a serial run meets first
+        time.sleep(0.05 if stream == 1 else 0.005)
+        if stream in (1, 2):
+            raise DomainError(f"trial {stream} aborts")
+        return sample(spec, count, seed, stream)
+
+    monkeypatch.setattr(learners, "sample", sample_or_abort)
+    threads = threading.active_count()
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampling, "_sampling_threads", cpus)
+        started.clear()
+        with pytest.raises(DomainError, match="^trial 1 aborts$"):
+            run_experiment(_poisson_config(trials=40))
+        assert len(started) < 40  # the trials not yet started were cancelled
+        assert threading.active_count() == threads
+
+
+def test_an_experiment_past_half_the_sample_cap_runs_one_trial_at_a_time(monkeypatch):
+    config = _poisson_config()
+    held = sampling.sample_bytes(config.truth_spec(), config.samples)
+    idents = []
+    run_trial = learners._run_trial
+
+    def slow_trial(*args):
+        idents.append(threading.get_ident())
+        time.sleep(0.02)  # so that a second trial thread would take a trial
+        return run_trial(*args)
+
+    monkeypatch.setattr(learners, "_run_trial", slow_trial)
+    monkeypatch.setattr(sampling, "_sampling_threads", 2)
+    reports = []
+    for cap, threads in [(2 * held - 1, 1), (2 * held, 2)]:
+        monkeypatch.setattr(sampling, "SAMPLE_CAP", cap)
+        idents.clear()
+        reports.append(run_experiment(config))
+        assert len(set(idents)) == threads
+    assert reports[0].rows == reports[1].rows
 
 
 def test_run_experiment_binomial_moments():

@@ -1,8 +1,8 @@
 import hashlib
 import math
+import os
 import threading
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +27,7 @@ from mixlearn import (
 from mixlearn.sampling import (
     _BINOMIAL_BLOCK_ELEMENTS,
     _binomial_rows,
+    _chi_squared_rows,
     _component_draws,
     _geometric_inverse,
     derived_rng,
@@ -161,6 +162,29 @@ def test_chunked_binomial_matches_one_matrix(n, count):
     got = _binomial_rows(rng, n, 0.3, count)
     assert got.dtype == np.int64
     assert np.array_equal(got, (ref_rng.random((count, n)) < 0.3).sum(axis=1))
+    assert rng.random() == ref_rng.random()
+
+
+def _one_matrix_chi_squared(rng, d, count):
+    """Row sums of the squares of one count x d matrix of normals whose
+    first uniforms all precede their second ones."""
+    u1, u2 = rng.random(count * d), rng.random(count * d)
+    z = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+    return (z * z).reshape(count, d).sum(axis=1)
+
+
+@pytest.mark.parametrize("d, count", [
+    (1, 1),
+    (2, 3 * (sampling._CHOICE_BLOCK // 2) + 1),
+    (3, 300_001),
+    (5, 208_953),
+    (100, 4 * (sampling._CHOICE_BLOCK // 100) + 1),  # a last block of one row
+    (sampling._CHOICE_BLOCK + 1, 3),  # blocks of one row
+])
+def test_chi_squared_blocks_match_one_matrix(d, count):
+    rng, ref_rng = derived_rng(3, d), derived_rng(3, d)
+    got = _chi_squared_rows(rng, d, count)
+    assert got.tobytes() == _one_matrix_chi_squared(ref_rng, d, count).tobytes()
     assert rng.random() == ref_rng.random()
 
 
@@ -324,8 +348,7 @@ def test_sample_memory_is_bounded_per_draw(family, indices, shared):
     finally:
         tracemalloc.stop()
     rows = _reference_rows(spec, count, 1)
-    draws = max(int(r) * sampling._draw_bytes(family, value)
-                for r, value in zip(rows, spec.values()))
+    draws = int(max(rows)) * sampling._DRAW_BYTES[family]
     # the int64 or float64 output, one byte of choice a draw, the largest
     # component's draws, and 3 MB of fixed-size scratch
     assert peak <= 8 * count + count + draws + 3 * 2**20
@@ -420,38 +443,28 @@ def _binomial_experiment():
 
 
 def test_parallel_binomial_experiment_matches_serial(monkeypatch):
-    monkeypatch.setattr(sampling, "_sampling_threads", 2)
+    # one trial thread drawing on one thread, then, with 4 CPUs, two trial
+    # threads each splitting its draws in two
+    monkeypatch.setattr(sampling, "_sampling_threads", 1)
     serial = run_experiment(_binomial_experiment())
-    monkeypatch.setenv("MIXLEARN_THREADS", "2")
+    monkeypatch.setattr(sampling, "_sampling_threads", 4)
     assert run_experiment(_binomial_experiment()).rows == serial.rows
 
 
-def test_pool_workers_sample_on_one_thread(monkeypatch):
-    import mixlearn.learners as learners
+def test_an_experiment_never_forks_and_joins_every_thread(monkeypatch, started_threads):
+    def no_fork():
+        raise AssertionError("run_experiment forked")
 
-    monkeypatch.setattr(sampling, "_sampling_threads", 4)
-    monkeypatch.setattr(learners, "_worker_experiment", None)
-    learners._start_worker(_binomial_experiment(), None)
-    assert sampling._sampling_threads == 1
-
-
-def _fork_warnings():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_experiment(_binomial_experiment())
-    return [w for w in caught if "multi-threaded" in str(w.message)]
-
-
-def test_no_sampler_thread_is_alive_when_the_pool_forks(monkeypatch):
-    # Python 3.12+ warns at each fork of a process with more than one OS
-    # thread; earlier versions never warn. A BLAS thread pool can make the
-    # process multi-threaded before any sampling, so the count of warnings
-    # before a threaded draw is the baseline.
-    monkeypatch.setenv("MIXLEARN_THREADS", "2")
-    monkeypatch.setattr(sampling, "_sampling_threads", 2)
-    baseline = len(_fork_warnings())
-    sample(_binomial_spec(10), 3 * _BINOMIAL_BLOCK_ELEMENTS // 10, seed=3)
-    assert len(_fork_warnings()) == baseline
+    monkeypatch.setattr(os, "fork", no_fork)
+    for cpus in (2, 4):
+        monkeypatch.setattr(sampling, "_sampling_threads", cpus)
+        started_threads.clear()
+        assert run_experiment(_binomial_experiment()).successes == 2
+        assert [t for t in started_threads if t.is_alive()] == []
+        if cpus == 2:  # each of the two trial threads draws on one thread
+            assert len(started_threads) <= 2
+        else:  # and on two of 4 CPUs, so its draws of several blocks split
+            assert len(started_threads) > 2
 
 
 def test_geometric_sampler_memory_is_bounded():
