@@ -1,17 +1,21 @@
 """Measure the memory and wall time of ``sample`` at 10^6 draws per family.
 
-For one k = 2 uniform mixture of each family, this records the tracemalloc
-peak of one ``sample(spec, 10**6, seed=1)`` call, after one untraced call
-of the same size (lazy imports and thread pools), and the median wall time
-of seven further calls with tracing off.
-Each source tree is measured in a fresh process, so two trees, such as a
+For one k = 2 uniform mixture of each family, a fresh process records the
+tracemalloc peak of one ``sample(spec, 10**6, seed=1)`` call, after one
+untraced call of the same size (lazy imports and thread pools), and the wall
+times of seven further calls with tracing off.  Two source trees, such as a
 parent commit and a change, can be compared side by side:
 
     git archive <parent> src | tar -x -C /tmp/parent
     PYTHONPATH=src python scripts/sampling_memory.py BENCH_sampling.json \\
         parent=/tmp/parent/src change=src
 
-With no label=DIR argument it measures ``change=src`` alone.
+The trees take turns family by family, in reversed order every other round,
+and each family is measured in ``ROUNDS`` rounds, so a drift in host speed
+lands on both trees instead of reading as a change.  A row reports the
+largest traced peak and the median wall time over all rounds, with each
+round's median beside it.  With no label=DIR argument it measures
+``change=src`` alone.
 """
 
 import json
@@ -26,71 +30,80 @@ from fractions import Fraction
 
 COUNT = 10**6
 REPEATS = 7
+ROUNDS = 3
 
 
-def _specs():
-    from mixlearn import Family, ParameterGrid, SharedParams, uniform_spec
-
-    def spec(family, step, lo, hi, indices, **shared):
-        return uniform_spec(ParameterGrid(family, step, lo, hi), indices, SharedParams(**shared))
-
-    return [
-        spec(Family.POISSON, 1, 0, 8, (1, 4)),
-        spec(Family.BINOMIAL_P, Fraction(1, 2), 0, 2, (1, 2), n=10),
-        spec(Family.GEOMETRIC_P, Fraction(1, 4), 1, 4, (1, 3)),
-        spec(Family.GEOMETRIC_U, Fraction(1), 0, 3, (0, 2)),
-        spec(Family.GAUSSIAN, 1, 0, 4, (0, 3), sigma=1.0),
-        spec(Family.CHI_SQUARED, 1, 1, 5, (2, 5)),
-        spec(Family.NEG_BINOMIAL, 1, 1, 4, (1, 3), p=Fraction(1, 3)),
-    ]
+#: (family, grid step, lowest index, highest index, indices, shared params)
+SPECS = [
+    ("poisson", 1, 0, 8, (1, 4), {}),
+    ("binomial-p", Fraction(1, 2), 0, 2, (1, 2), {"n": 10}),
+    ("geometric-p", Fraction(1, 4), 1, 4, (1, 3), {}),
+    ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
+    ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),
+    ("chi-squared", 1, 1, 5, (2, 5), {}),
+    ("neg-binomial", 1, 1, 4, (1, 3), {"p": Fraction(1, 3)}),
+]
 
 
-def measure() -> list:
-    """Per family: traced peak (MB) and median wall time (s) in this process."""
-    from mixlearn import sample
+def measure(family: int) -> dict:
+    """Traced peak (bytes) and wall times (s) of the ``family``-th spec in
+    this process."""
+    from mixlearn import Family, ParameterGrid, SharedParams, sample, uniform_spec
 
-    rows = []
-    for spec in _specs():
-        sample(spec, COUNT, seed=1)  # lazy imports outside the trace
-        tracemalloc.start()
-        try:
-            sample(spec, COUNT, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        walls = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            sample(spec, COUNT, seed=1)
-            walls.append(time.perf_counter() - t0)
-        rows.append({
-            "family": spec.family.value, "indices": list(spec.indices), "count": COUNT,
-            "traced_peak_mb": round(peak / 2**20, 2),
-            "median_wall_s": round(statistics.median(walls), 5),
-        })
-    return rows
+    name, step, lo, hi, indices, shared = SPECS[family]
+    spec = uniform_spec(ParameterGrid(Family(name), step, lo, hi), indices, SharedParams(**shared))
+    sample(spec, COUNT, seed=1)  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        sample(spec, COUNT, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walls = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        sample(spec, COUNT, seed=1)
+        walls.append(time.perf_counter() - t0)
+    return {"peak": peak, "walls": walls}
 
 
 def main() -> None:
-    if sys.argv[1:] == ["--child"]:
-        json.dump(measure(), sys.stdout)
+    if sys.argv[1:2] == ["--child"]:
+        json.dump(measure(int(sys.argv[2])), sys.stdout)
         return
     args = sys.argv[1:]
     path = args.pop(0) if args and "=" not in args[0] else "BENCH_sampling.json"
     trees = dict(arg.split("=", 1) for arg in args) or {"change": "src"}
+    runs = {(label, i): [] for label in trees for i in range(len(SPECS))}
+    for r in range(ROUNDS):
+        for i in range(len(SPECS)):
+            for label in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                env = dict(os.environ, PYTHONPATH=os.path.abspath(trees[label]))
+                out = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--child", str(i)],
+                    env=env, check=True, capture_output=True, text=True).stdout
+                runs[label, i].append(json.loads(out))
     results = {}
-    for label, src in trees.items():
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        results[label] = json.loads(out)
-        for row in results[label]:
+    for label in trees:
+        results[label] = []
+        for i, (name, _, _, _, indices, _) in enumerate(SPECS):
+            rounds = runs[label, i]
+            row = {
+                "family": name, "indices": list(indices), "count": COUNT,
+                "traced_peak_mb": round(max(m["peak"] for m in rounds) / 2**20, 2),
+                "median_wall_s": round(statistics.median(
+                    w for m in rounds for w in m["walls"]), 5),
+                "round_median_wall_s": [round(statistics.median(m["walls"]), 5)
+                                        for m in rounds],
+            }
+            results[label].append(row)
             print(f"{label} {row['family']}: peak {row['traced_peak_mb']} MB, "
                   f"median {row['median_wall_s'] * 1e3:.2f} ms", flush=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({
             "measure": f"tracemalloc peak of one sample(spec, {COUNT}) call and the median "
-                       f"wall time of {REPEATS} calls, per k = 2 uniform mixture",
+                       f"wall time of {REPEATS} calls in each of {ROUNDS} rounds, per k = 2 "
+                       "uniform mixture, the trees taking turns family by family",
             "python": platform.python_version(),
             "numpy": __import__("numpy").__version__,
             "machine": platform.machine(),

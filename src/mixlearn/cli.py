@@ -36,7 +36,7 @@ from .learners import (  # perfbench/tracer.py wraps the learn_* names of this m
 )
 from .littlewood import LittlewoodPoly, littlewood_arc_max
 from .moments import plan_samples
-from .powersums import power_sum_signature, verify_identifiability, _objects_in_order
+from .powersums import _signature_rows, verify_identifiability
 from .sampling import sample
 from .tv import separation_survey, tv_exact, tv_lower_bound_charfn
 
@@ -209,11 +209,8 @@ def _cmd_verify_identifiability(args) -> int:
     sys.stdout.write(report.to_report())
     if args.csv:
         T = args.T if args.T is not None else report.T_theorem
-        rows = (
-            (" ".join(str(v) for v in obj),
-             " ".join(str(s) for s in power_sum_signature(obj, T)))
-            for obj in _objects_in_order(args.n, args.q, args.mode)
-        )
+        rows = ((" ".join(map(str, obj)), " ".join(map(str, signature)))
+                for obj, signature in _signature_rows(args.n, args.q, args.mode, T))
         write_csv(args.csv, ["object", "signature"], rows)
     return 0
 

@@ -366,8 +366,11 @@ def _digit_multiplicities(n: int, q: int, mode: str) -> Tuple[int, ...]:
     return mults
 
 
-def _objects_in_order(n: int, q: int, mode: str) -> Iterator[Tuple[int, ...]]:
-    """Every object of a sweep, one at a time: multisets in position order
+def _signature_rows(
+    n: int, q: int, mode: str, T: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Every object of a sweep with its ``power_sum_signature`` up to order
+    T, read from ``_positional_power_sums``: multisets in position order
     (the q-ary enumeration order), subsets by size, each size in
     ``combinations`` order (a stable sort of the positions by size)."""
     mults = _digit_multiplicities(n, q, mode)
@@ -375,7 +378,11 @@ def _objects_in_order(n: int, q: int, mode: str) -> Iterator[Tuple[int, ...]]:
     if mode == "sets":
         sizes = _positional_power_sums(n, mults, 0, positions)
         positions = positions[np.argsort(sizes, kind="stable")]
-    return (_object_at(n, mults, p) for p in map(int, positions))
+    for lo in range(0, len(positions), 2**12):
+        block = positions[lo:lo + 2**12]
+        sums = (_positional_power_sums(n, mults, ell, block).tolist() for ell in range(T + 1))
+        for p, *signature in zip(block.tolist(), *sums):
+            yield _object_at(n, mults, p), tuple(signature)
 
 
 def _object_at(n: int, mults: Tuple[int, ...], position: int) -> Tuple[int, ...]:
@@ -391,26 +398,28 @@ def _object_at(n: int, mults: Tuple[int, ...], position: int) -> Tuple[int, ...]
 def _positional_power_sums(
     n: int, mults: Tuple[int, ...], ell: int, positions: np.ndarray
 ) -> np.ndarray:
-    """Order-ell power sums of the objects at ``positions``.
+    """Order-ell power sums of the objects at ``positions``, exact.
 
-    While every sum fits in int64 they are built for all B^n positions by
-    digit doubling; past that limit they are exact Python ints (an object
-    array), computed on the given positions only.
+    A position's sum is its high digits' sum (values 0..n//2-1) plus its low
+    digits' sum (the other values), each read from a table over every
+    setting of those digits built by digit doubling: int64 while every sum
+    fits, else exact Python ints (an object array).
     """
     base = len(mults)
-    if max(mults) * n * (n - 1) ** ell >= 2**63:
-        return np.array([
-            sum(v**ell for v in _object_at(n, mults, int(p))) for p in positions
-        ], dtype=object)
-    ps = np.empty(base**n, dtype=np.int64)
-    ps[0] = 0
-    size = 1
-    for v in range(n - 1, -1, -1):
-        # block 0 is read by the others, so it is updated last
-        for digit in range(base - 1, -1, -1):
-            ps[digit * size:(digit + 1) * size] = ps[:size] + mults[digit] * v**ell
-        size *= base
-    return ps[positions]
+    dtype = object if max(mults) * n * (n - 1) ** ell >= 2**63 else np.int64
+
+    def table(values: range) -> np.ndarray:
+        ps = np.zeros(base ** len(values), dtype=dtype)
+        size = 1
+        for v in reversed(values):
+            # block 0 is read by the others, so it is updated last
+            for digit in range(base - 1, -1, -1):
+                ps[digit * size:(digit + 1) * size] = ps[:size] + mults[digit] * v**ell
+            size *= base
+        return ps
+
+    high, low = np.divmod(positions, base ** (n - n // 2))
+    return table(range(n // 2))[high] + table(range(n // 2, n))[low]
 
 
 def _refine(

@@ -1,43 +1,45 @@
 """Reproducible mixture sampling.
 
 All randomness comes from a PCG64 uniform stream seeded as
-``SeedSequence((seed, stream))``; every family draw is a documented,
-fixed transformation of those uniforms, so identical (seed, stream, count)
-always yields bit-identical datasets:
+``SeedSequence((seed, stream))`` and read by one layout rule, so identical
+(seed, stream, count) always yields bit-identical datasets.
 
-* component choice: inverse CDF on the cumulative weights, read from the
-  first ``count`` uniforms; each component then draws all of its rows in
-  component order, and its draws fill its rows in row order
-* binomial(n, p): n Bernoulli draws (uniform < p), summed; the count x n
-  uniform matrix is drawn in row blocks, consumed in row order. A draw of
-  more than one block is split into at most one contiguous row range per
-  available CPU (per CPU of its share, on an experiment's trial thread),
-  of count * i // parts rows before range i; range i starts
-  from a copy of the generator advanced (``PCG64.advance``) past the rows
-  before it, and the generator ends advanced past all rows, so every row
-  reads the stream positions a serial draw would and neither the values nor
-  the generator's later state depend on the number of threads
-* poisson: inverse CDF against a precomputed pmf table
-* geometric(p): floor(log(1-u) / log(1-p))
-* gaussian: Box-Muller cosine branch, one normal per uniform pair: the
-  first uniforms of all ``count`` normals, then their second uniforms
-* chi-squared(d): sum of d squared normals, the count x d normals read from
-  the stream as one gaussian draw of count * d; they are drawn in row
-  blocks, each block's second uniforms from a copy of the generator
-  advanced past all the first ones, and the generator ends advanced past
-  both, so neither the values nor its later state depend on the block size
-* negative binomial(r, p): sum of r geometrics with success prob 1-p
+The first ``count`` uniforms choose the components: a draw's component is
+the number of cumulative weights <= its uniform.  Each component then draws
+all of its rows, in component order, and they fill its rows in row order.
+A component's draw of ``count`` rows reads ``runs`` consecutive runs of
+``count * width`` uniforms; row i reads uniforms i * width through
+(i + 1) * width - 1 of each run (u and v below are a row's uniforms from
+the first and the second run):
 
-Memory is bounded per draw.  Only two arrays have ``count`` entries: the
-output (8 bytes a draw) and the component choice (1 byte a draw up to 256
-components, the smallest unsigned type that holds k - 1).  The choice
-uniforms are drawn, compared and counted in blocks of ``_CHOICE_BLOCK`` =
-2**16 (512 KB of float64), and each component's draws are placed one block
-of rows at a time and freed before the next component draws.  So a call
-holds at most ``sample_bytes(spec, count)``: those 9 bytes a draw plus the
-family's per-draw bytes (``_DRAW_BYTES``) for the rows of one component,
-plus a few MB of fixed scratch; a call that would hold more than
-``SAMPLE_CAP`` bytes is refused before anything is allocated.
+=======================  ====  =====  ===================================
+family                   runs  width  row value
+=======================  ====  =====  ===================================
+poisson(lam)             1     1      inverse CDF against a pmf table
+binomial(n, p)           1     n      the number of uniforms < p
+geometric(p)             1     1      floor(log(1 - u) / log(1 - p))
+gaussian                 2     1      sqrt(-2 log(1 - u)) cos(2 pi v)
+chi-squared(d)           2     d      the sum of d squared such normals
+negative binomial(r, p)  r     1      the sum of r geometric(1 - p) draws
+=======================  ====  =====  ===================================
+
+A rate-0 Poisson and a geometric whose p is 1.0 in floating point read 0 runs.
+
+A draw holds ``_DRAW_BLOCK`` uniforms at once, unless one row holds more,
+and a draw of one block reads its runs in stream order.  A larger draw is
+split into at most one contiguous row range per available CPU (per CPU of
+its share, on an experiment's trial thread), of count * i // parts rows
+before range i.  A range reads each run from a copy of the generator
+advanced (``PCG64.advance``) to its first row, and the generator ends
+advanced past all the runs, so neither the values nor its later state
+depend on the block size or the number of threads.
+
+Memory is bounded per draw: ``sample_bytes`` counts the output and one
+component's draws (8 bytes a draw each) and the component choice (the
+smallest unsigned type that holds k - 1), the choice uniforms come in
+blocks of ``_CHOICE_BLOCK``, and each component's draws are freed before
+the next component draws.  A call that would hold more than ``SAMPLE_CAP``
+bytes is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import contextvars
 import copy
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -58,28 +60,16 @@ _BINOMIAL_TRIAL_CAP = 10_000
 _POISSON_RATE_CAP = 10_000.0
 #: bytes one ``sample`` call may hold in arrays of ``count`` entries (4 GiB)
 SAMPLE_CAP = 2**32
-#: component-choice uniforms held at once by ``sample``, and each of the
-#: two uniform blocks of the chi-squared sampler (512 KB of float64)
+#: component-choice uniforms held at once by ``sample`` (512 KB of float64)
 _CHOICE_BLOCK = 2**16
-#: bytes per draw one component's draws hold at their peak, scratch of a
-#: fixed size aside
-_DRAW_BYTES = {
-    Family.POISSON: 16,  # uniforms, then their int64 indices
-    Family.BINOMIAL_P: 8,  # the int64 counts; the uniforms come in row blocks
-    Family.GEOMETRIC_P: 16,  # uniforms, then their int64 floors
-    Family.GEOMETRIC_U: 16,
-    Family.GAUSSIAN: 16,  # the two uniforms of each normal
-    Family.CHI_SQUARED: 8,  # the float64 sums; the normals come in row blocks
-    Family.NEG_BINOMIAL: 24,  # the int64 sum, and one geometric draw
-}
-#: uniforms held at once by the binomial sampler, its threads together
-#: (2 MB of float64 scratch), unless one row per thread holds more
-_BINOMIAL_BLOCK_ELEMENTS = 2**18
-#: the CPUs this process may run on: the threads one binomial draw may
+#: uniforms one component draw holds at once, its threads together (1 MB of
+#: float64), unless one row per thread holds more
+_DRAW_BLOCK = 2**17
+#: the CPUs this process may run on: the threads one component draw may
 #: use, and at most the trial threads of ``learners.run_experiment``
 _sampling_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-#: the threads one binomial draw may use in the current context, when set:
+#: the threads one component draw may use in the current context, when set:
 #: ``run_experiment``'s trial threads each take their share of the CPUs
 _draw_threads = contextvars.ContextVar("_draw_threads")
 
@@ -119,9 +109,10 @@ def derived_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
-def _normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """sqrt(-2 log(1 - u1)) * cos(2 pi u2), computed in place in the two
-    uniform arrays; returns u1."""
+def _normals(u: np.ndarray) -> np.ndarray:
+    """sqrt(-2 log(1 - u[0])) * cos(2 pi u[1]), computed in place in the two
+    uniform blocks of ``u``; returns u[0]."""
+    u1, u2 = u
     np.subtract(1.0, u1, out=u1)  # in (0, 1]
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -132,145 +123,142 @@ def _normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u1
 
 
-def _poisson_inverse(rng: np.random.Generator, lam: float, count: int) -> np.ndarray:
-    if lam == 0.0:
-        return np.zeros(count, dtype=np.int64)
+def _geometrics(runs: int, p: float):
+    """The layout of a sum of ``runs`` geometrics with pmf (1-p)^x p, each
+    floor(log(1 - u) / log(1 - p)); at p = 1.0 every one is 0 and reads no run."""
+    if p <= 0.0:
+        raise DomainError("cannot sample a geometric with p = 0")
+    if p >= 1.0:
+        return 0, 1, None
+    scale = math.log1p(-p)
+
+    def kernel(u, out):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= scale
+        np.floor(u, out=u)
+        for run in u:
+            out += run[:, 0].astype(np.int64)
+
+    return runs, 1, kernel
+
+
+def _poisson(lam: float):
+    """The layout of a Poisson(lam) draw: inverse CDF against a pmf table
+    that reaches 40 standard deviations past the mean."""
     if lam > _POISSON_RATE_CAP:
         raise ContractError(f"poisson inversion capped at rate {_POISSON_RATE_CAP}")
+    if lam == 0.0:
+        return 0, 1, None
     cutoff = int(lam + 40.0 * math.sqrt(lam) + 50.0)
     xs = np.arange(cutoff + 1)
     logpmf = -lam + xs * math.log(lam) - np.cumsum(
         np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1))))
     )
     cdf = np.cumsum(np.exp(logpmf))
-    return np.searchsorted(cdf, rng.random(count), side="right")
+    return 1, 1, lambda u, out: np.copyto(out, np.searchsorted(cdf, u[0, :, 0], side="right"))
 
 
-def _geometric_inverse(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
-    if p <= 0.0:
-        raise DomainError("cannot sample a geometric with p = 0")
-    if p >= 1.0:
-        return np.zeros(count, dtype=np.int64)
-    u = rng.random(count)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u /= math.log1p(-p)
-    np.floor(u, out=u)
-    return u.astype(np.int64)
+def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
+               out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the rows of one draw by the layout rule of the
+    module docstring, and advance ``rng`` past its ``runs`` runs.
 
-
-def _binomial_range(
-    rng: np.random.Generator, n: int, p: float, out: np.ndarray, rows: int
-) -> None:
-    """Fill ``out`` with the row sums of a len(out) x n Bernoulli(p) matrix,
-    drawn from ``rng`` in blocks of ``rows`` rows through one reused pair of
-    scratch blocks."""
-    rows = min(rows, out.size)
-    u = np.empty((rows, n))
-    hits = np.empty((rows, n), dtype=bool)
-    for start in range(0, out.size, rows):
-        stop = min(start + rows, out.size)
-        block, block_hits = u[: stop - start], hits[: stop - start]
-        rng.random(out=block)
-        np.less(block, p, out=block_hits)
-        np.einsum("ij->i", block_hits, dtype=np.int64, out=out[start:stop])
-
-
-def _binomial_rows(rng: np.random.Generator, n: int, p: float, count: int) -> np.ndarray:
-    """Row sums of a count x n Bernoulli(p) matrix, drawn in row blocks.
-
-    The uniform stream is consumed row by row exactly as one ``count x n``
-    matrix would consume it (see the module docstring for the split across
-    threads), so neither the result nor ``rng``'s later state depends on the
-    block size or the thread count; the threads share one block's scratch.
+    ``kernel(u, out)`` writes the values of a block of rows into ``out``
+    from their uniforms ``u``, runs x rows x ``width``; it may overwrite
+    ``u``.  The threads of the split together hold one block of scratch, and
+    every thread is joined before the call returns.
     """
-    out = np.empty(count, dtype=np.int64)
-    rows = max(1, _BINOMIAL_BLOCK_ELEMENTS // n)
-    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows))
-    if parts == 1:
-        _binomial_range(rng, n, p, out, rows)
+    count = out.size
+    if runs == 0:
         return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [count * i // parts for i in range(parts + 1)]
+    rows = max(1, _DRAW_BLOCK // (runs * width))
+    if count <= rows:
+        # one block is one runs x count x width matrix, read in stream order
+        # from rng itself, with no generator copies to make
+        kernel(rng.random((runs, count, width)), out)
+        return out
+    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows))
     rows = max(1, rows // parts)
-    # range i > 0 starts from a copy of rng advanced past the rows before it;
-    # every thread is joined before the call returns
-    with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [
-            pool.submit(_binomial_range,
-                        np.random.Generator(copy.deepcopy(rng.bit_generator).advance(lo * n)),
-                        n, p, out[lo:hi], rows)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
-        _binomial_range(rng, n, p, out[: bounds[1]], rows)
-    for future in futures:
-        future.result()
-    rng.bit_generator.advance((count - bounds[1]) * n)
+
+    def fill(lo: int, hi: int) -> None:
+        # run j is read from a copy of rng advanced to its row lo
+        streams = [np.random.Generator(copy.deepcopy(rng.bit_generator)
+                                       .advance((j * count + lo) * width))
+                   for j in range(runs)]
+        u = np.empty((runs, min(rows, hi - lo), width))
+        for start in range(lo, hi, rows):
+            block = u[:, : min(rows, hi - start)]
+            for stream, run in zip(streams, block):
+                stream.random(out=run)
+            kernel(block, out[start : start + block.shape[1]])
+
+    if parts == 1:
+        fill(0, count)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = [count * i // parts for i in range(parts + 1)]
+        with ThreadPoolExecutor(parts - 1) as pool:
+            futures = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            fill(0, bounds[1])
+        for future in futures:
+            future.result()
+    rng.bit_generator.advance(runs * count * width)
     return out
 
 
-def _chi_squared_rows(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
-    """Row sums of a count x d matrix of squared normals, drawn in row blocks
-    of at most ``_CHOICE_BLOCK`` normals.
+def _layout(family: Family, shared, value):
+    """The (runs, width, kernel) of one component's draws, as ``_draw_rows``
+    takes them."""
+    if family is Family.POISSON:
+        return _poisson(float(value))
+    if family is Family.BINOMIAL_P:
+        n, p = shared.n, float(value)
+        if n > _BINOMIAL_TRIAL_CAP:
+            raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
+        return 1, n, lambda u, out: np.einsum("ij->i", u[0] < p, dtype=np.int64, out=out)
+    if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
+        return _geometrics(1, float(value) if family is Family.GEOMETRIC_P
+                           else 1.0 / float(value))
+    if family is Family.GAUSSIAN:
+        sigma, mean = shared.sigma, float(value)
 
-    The stream is read as one ``count * d`` gaussian draw reads it (see the
-    module docstring), so neither the result nor ``rng``'s later state
-    depends on the block size.
-    """
-    out = np.empty(count)
-    rows = min(count, max(1, _CHOICE_BLOCK // d))
-    u1, u2 = np.empty((rows, d)), np.empty((rows, d))
-    # the second uniforms start after all count * d first ones
-    second = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(count * d))
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        z, block_u2 = u1[: stop - start], u2[: stop - start]
-        rng.random(out=z)
-        second.random(out=block_u2)
-        _normals(z, block_u2)
-        np.multiply(z, z, out=z)
-        np.sum(z, axis=1, out=out[start:stop])
-    rng.bit_generator.advance(count * d)
-    return out
+        def kernel(u, out):
+            z = _normals(u)
+            z *= sigma
+            z += mean
+            out[:] = z[:, 0]
+
+        return 2, 1, kernel
+    if family is Family.CHI_SQUARED:
+
+        def kernel(u, out):
+            z = _normals(u)
+            np.multiply(z, z, out=z)
+            np.sum(z, axis=1, out=out)
+
+        return 2, int(value), kernel
+    if family is Family.NEG_BINOMIAL:
+        # sum of r geometrics, each with pmf p^x (1-p)
+        return _geometrics(int(value), 1.0 - float(shared.p))
+    raise ContractError(f"sampling unsupported for family {family.value}")
 
 
 def _component_draws(
     rng: np.random.Generator, family: Family, shared, value, count: int
 ) -> np.ndarray:
-    if family is Family.POISSON:
-        return _poisson_inverse(rng, float(value), count)
-    if family is Family.BINOMIAL_P:
-        n = shared.n
-        if n > _BINOMIAL_TRIAL_CAP:
-            raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
-        return _binomial_rows(rng, n, float(value), count)
-    if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
-        p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
-        return _geometric_inverse(rng, p, count)
-    if family is Family.GAUSSIAN:
-        z = _normals(rng.random(count), rng.random(count))
-        z *= shared.sigma
-        z += float(value)
-        return z
-    if family is Family.CHI_SQUARED:
-        return _chi_squared_rows(rng, int(value), count)
-    if family is Family.NEG_BINOMIAL:
-        r, p = int(value), float(shared.p)
-        # sum of r geometrics, each with pmf p^x (1-p)
-        out = np.zeros(count, dtype=np.int64)
-        for _ in range(r):
-            out += _geometric_inverse(rng, 1.0 - p, count)
-        return out
-    raise ContractError(f"sampling unsupported for family {family.value}")
+    """``count`` draws of one component, by its family's layout."""
+    runs, width, kernel = _layout(family, shared, value)
+    out = np.zeros(count, dtype=np.int64 if family in DISCRETE_FAMILIES else np.float64)
+    return _draw_rows(rng, runs, width, kernel, out)
 
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
     scratch aside: the output, the component choice, and the draws of one
     component if it took every row."""
-    choice = np.min_scalar_type(spec.k - 1).itemsize
-    return count * (8 + choice + _DRAW_BYTES[spec.family])
+    return count * (16 + np.min_scalar_type(spec.k - 1).itemsize)
 
 
 def _check_count(spec: MixtureSpec, count: int) -> None:

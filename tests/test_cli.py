@@ -112,6 +112,22 @@ def test_verify_identifiability_with_csv(tmp_path, capsys):
     assert len(rows) == 1 + 2**4
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--n", "12"], "4aae7112a3c63e49b29491bc87cd8de8db58b5a98ce905e61bd110a6296fd107"),
+    (["--n", "6", "--q", "3", "--mode", "multisets"],
+     "cc57d8f8fd634b92cd8f753ab3e8d7ff693a50c8ec415196c6e8c1d59678802c"),
+    # order 16 passes the int64 limit, so its sums are exact Python ints
+    (["--n", "16"], "43490630c4dcda92b141fd04ada2bcba9d1f675a0e418edd5a446f529536fbb9"),
+    (["--n", "10", "--T", "4"],
+     "d06439bab67f8738f73424541488c8760295b978e893c4061e4d0fb08d27bcbc"),
+])
+def test_verify_identifiability_csv_is_frozen(tmp_path, capsys, args, digest):
+    # sha256 of the files written with one power_sum_signature per object
+    audit = tmp_path / "audit.csv"
+    assert cli_dispatch(["verify-identifiability", *args, "--csv", str(audit)]) == 0
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == digest
+
+
 def test_tv_exact_and_bound(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -32,9 +32,9 @@ from mixlearn.powersums import (
     PowerSumVector,
     _digit_multiplicities,
     _object_at,
-    _objects_in_order,
     _positional_power_sums,
     _refine,
+    _signature_rows,
     _solve_coefficients,
 )
 import numpy as np
@@ -312,7 +312,8 @@ def test_verify_identifiability_matches_the_dict_reference(n, q, mode):
 @pytest.mark.parametrize("n, q, mode", IDENTIFIABILITY_CASES + [
     (0, 2, "sets"), (14, 2, "sets"), (7, 3, "multisets"), (5, 4, "multisets")])
 def test_objects_in_order_follow_the_reference_order(n, q, mode):
-    assert list(_objects_in_order(n, q, mode)) == _reference_objects(n, q, mode)
+    assert list(_signature_rows(n, q, mode, 3)) == [
+        (obj, power_sum_signature(obj, 3)) for obj in _reference_objects(n, q, mode)]
 
 
 def test_positional_power_sums_past_the_int64_limit():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -24,14 +25,7 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
-from mixlearn.sampling import (
-    _BINOMIAL_BLOCK_ELEMENTS,
-    _binomial_rows,
-    _chi_squared_rows,
-    _component_draws,
-    _geometric_inverse,
-    derived_rng,
-)
+from mixlearn.sampling import _DRAW_BLOCK, _component_draws, _layout, derived_rng
 
 
 def _spec(family, indices, **shared):
@@ -149,11 +143,15 @@ def test_geometric_p_zero_component_rejected_in_sampling():
         sample(spec, 10, seed=1)
 
 
+def _binomial_rows(rng, n, p, count):
+    return _component_draws(rng, Family.BINOMIAL_P, SharedParams(n=n), p, count)
+
+
 @pytest.mark.parametrize("n, count", [
-    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000 - 1),
-    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000),
-    (1000, _BINOMIAL_BLOCK_ELEMENTS // 1000 + 1),
-    (7, 3 * (_BINOMIAL_BLOCK_ELEMENTS // 7) + 5),
+    (1000, 2 * (_DRAW_BLOCK // 1000) - 1),
+    (1000, 2 * (_DRAW_BLOCK // 1000)),
+    (1000, 2 * (_DRAW_BLOCK // 1000) + 1),
+    (7, 6 * (_DRAW_BLOCK // 7) + 8),
     (10_000, 5),
 ])
 def test_chunked_binomial_matches_one_matrix(n, count):
@@ -175,17 +173,102 @@ def _one_matrix_chi_squared(rng, d, count):
 
 @pytest.mark.parametrize("d, count", [
     (1, 1),
-    (2, 3 * (sampling._CHOICE_BLOCK // 2) + 1),
+    (2, 3 * (_DRAW_BLOCK // 4) + 1),  # a last block of one row
     (3, 300_001),
     (5, 208_953),
-    (100, 4 * (sampling._CHOICE_BLOCK // 100) + 1),  # a last block of one row
-    (sampling._CHOICE_BLOCK + 1, 3),  # blocks of one row
+    (100, 4 * (_DRAW_BLOCK // 200) + 1),  # a last block of one row
+    (_DRAW_BLOCK // 2 + 1, 3),  # blocks of one row
 ])
 def test_chi_squared_blocks_match_one_matrix(d, count):
     rng, ref_rng = derived_rng(3, d), derived_rng(3, d)
-    got = _chi_squared_rows(rng, d, count)
+    got = _component_draws(rng, Family.CHI_SQUARED, SharedParams(), d, count)
     assert got.tobytes() == _one_matrix_chi_squared(ref_rng, d, count).tobytes()
     assert rng.random() == ref_rng.random()
+
+
+#: (family, shared, value, runs, width): one component of each family and
+#: the runs of count * width uniforms its draw of count rows reads
+_LAYOUTS = [
+    (Family.POISSON, SharedParams(), 3, 1, 1),
+    (Family.BINOMIAL_P, SharedParams(n=10), Fraction(3, 10), 1, 10),
+    (Family.GEOMETRIC_P, SharedParams(), Fraction(1, 4), 1, 1),
+    (Family.GEOMETRIC_U, SharedParams(), Fraction(5, 2), 1, 1),
+    (Family.GAUSSIAN, SharedParams(sigma=0.5), 2, 2, 1),
+    (Family.CHI_SQUARED, SharedParams(), 3, 2, 3),
+    (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 3)), 4, 4, 1),
+]
+_LAYOUT_IDS = [case[0].value for case in _LAYOUTS]
+
+
+@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS, ids=_LAYOUT_IDS)
+def test_each_family_is_runs_of_rows(family, shared, value, runs, width):
+    assert _layout(family, shared, value)[:2] == (runs, width)
+
+
+def _one_matrix(rng, family, shared, value, count):
+    """One component's draws from one runs x count x width uniform array."""
+    runs, width, kernel = _layout(family, shared, value)
+    out = np.zeros(count, dtype=np.float64 if family in (Family.GAUSSIAN, Family.CHI_SQUARED)
+                   else np.int64)
+    kernel(rng.random((runs, count, width)), out)
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (2, 1), (3, 5)])
+def test_row_blocks_match_one_matrix(monkeypatch, threads, family, shared, value, runs,
+                                     width, blocks, extra):
+    # one block, or a last block of one row or of a few rows on one thread
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    count = blocks * (_DRAW_BLOCK // (runs * width)) + extra
+    rng, ref = derived_rng(6, blocks), derived_rng(6, blocks)
+    got = _component_draws(rng, family, shared, value, count)
+    assert got.tobytes() == _one_matrix(ref, family, shared, value, count).tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_draw_threads_under_a_short_switch_interval(monkeypatch):
+    # five threads on fewer cores, switching often: a lost or misplaced
+    # write would show as a row that differs from the one-matrix draw
+    monkeypatch.setattr(sampling, "_sampling_threads", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for family, shared, value, runs, width in _LAYOUTS:
+            count = 7 * (_DRAW_BLOCK // (runs * width)) + 3
+            rng, ref = derived_rng(8), derived_rng(8)
+            got = _component_draws(rng, family, shared, value, count)
+            assert got.tobytes() == _one_matrix(ref, family, shared, value, count).tobytes()
+            assert rng.random() == ref.random()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_rows_wider_than_a_block_are_one_row_per_block(monkeypatch, threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    d = _DRAW_BLOCK // 2 + 1  # runs x width = _DRAW_BLOCK + 2
+    rng, ref = derived_rng(7), derived_rng(7)
+    got = _component_draws(rng, Family.CHI_SQUARED, SharedParams(), d, 6)
+    assert got.tobytes() == _one_matrix(ref, Family.CHI_SQUARED, SharedParams(), d, 6).tobytes()
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("family, shared, value", [
+    (Family.POISSON, SharedParams(), 0),
+    (Family.GEOMETRIC_P, SharedParams(), 1),
+    (Family.GEOMETRIC_U, SharedParams(), 1),
+    # 1.0 - float(p) rounds to 1.0: every geometric of the sum is 0
+    (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 10**20)), 3),
+])
+def test_a_component_of_zero_runs_reads_no_uniform(family, shared, value):
+    assert _layout(family, shared, value)[0] == 0
+    rng = derived_rng(1)
+    draws = _component_draws(rng, family, shared, value, 1000)
+    assert draws.dtype == np.int64 and not draws.any()
+    # the first uniform of seed 1, as if the draw had not happened
+    assert rng.random() == 0.5118216247002567
 
 
 def test_binomial_sampler_memory_is_bounded():
@@ -348,7 +431,7 @@ def test_sample_memory_is_bounded_per_draw(family, indices, shared):
     finally:
         tracemalloc.stop()
     rows = _reference_rows(spec, count, 1)
-    draws = int(max(rows)) * sampling._DRAW_BYTES[family]
+    draws = int(max(rows)) * 8
     # the int64 or float64 output, one byte of choice a draw, the largest
     # component's draws, and 3 MB of fixed-size scratch
     assert peak <= 8 * count + count + draws + 3 * 2**20
@@ -357,8 +440,8 @@ def test_sample_memory_is_bounded_per_draw(family, indices, shared):
 
 def test_a_draw_past_the_sample_cap_allocates_nothing():
     spec = _spec(Family.POISSON, (1, 4))
-    # output, choice and a Poisson component's uniforms and indices
-    assert sampling.sample_bytes(spec, 10**13) == 10**13 * (8 + 1 + 16) > sampling.SAMPLE_CAP
+    # output, choice and a component's draws
+    assert sampling.sample_bytes(spec, 10**13) == 10**13 * (16 + 1) > sampling.SAMPLE_CAP
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError):
@@ -371,9 +454,9 @@ def test_a_draw_past_the_sample_cap_allocates_nothing():
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
 @pytest.mark.parametrize("n, count", [
-    (10, 5 * (_BINOMIAL_BLOCK_ELEMENTS // 10) + 3),
-    (1000, 4 * (_BINOMIAL_BLOCK_ELEMENTS // 1000)),
-    (7, 2 * (_BINOMIAL_BLOCK_ELEMENTS // 7) + 1),
+    (10, 10 * (_DRAW_BLOCK // 10) + 3),
+    (1000, 8 * (_DRAW_BLOCK // 1000)),
+    (7, 4 * (_DRAW_BLOCK // 7) + 3),
 ])
 def test_binomial_rows_do_not_depend_on_the_thread_count(monkeypatch, threads, n, count):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
@@ -399,39 +482,48 @@ def started_threads(monkeypatch):
 
 def test_a_draw_of_one_block_starts_no_thread(monkeypatch, started_threads):
     monkeypatch.setattr(sampling, "_sampling_threads", 4)
-    rows = _BINOMIAL_BLOCK_ELEMENTS // 10
-    _binomial_rows(derived_rng(1), 10, 0.3, rows)
+    for family, shared, value, runs, width in _LAYOUTS:
+        rows = _DRAW_BLOCK // (runs * width)
+        started_threads.clear()
+        _component_draws(derived_rng(1), family, shared, value, rows)
+        assert started_threads == [], family
+        _component_draws(derived_rng(1), family, shared, value, rows + 1)  # two blocks
+        assert len(started_threads) == 1, family
+    started_threads.clear()
     sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4)), 50_000, seed=1)
     assert started_threads == []
-    _binomial_rows(derived_rng(1), 10, 0.3, rows + 1)  # two blocks: one more thread
-    assert len(started_threads) == 1
 
 
 def test_no_sampler_thread_outlives_its_call(monkeypatch, started_threads):
     monkeypatch.setattr(sampling, "_sampling_threads", 3)
     before = threading.active_count()
-    _binomial_rows(derived_rng(2), 10, 0.3, 5 * (_BINOMIAL_BLOCK_ELEMENTS // 10))
-    assert len(started_threads) == 2
-    assert [t for t in started_threads if t.is_alive()] == []
-    # about five row blocks per component at n = 10
-    sample(_binomial_spec(10), _BINOMIAL_BLOCK_ELEMENTS, seed=2)
+    for family, shared, value, runs, width in _LAYOUTS:
+        started_threads.clear()
+        _component_draws(derived_rng(2), family, shared, value,
+                         5 * (_DRAW_BLOCK // (runs * width)))
+        assert len(started_threads) == 2, family
+        assert [t for t in started_threads if t.is_alive()] == []
+    # five row blocks per component at n = 10
+    sample(_binomial_spec(10), _DRAW_BLOCK, seed=2)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("threads", [1, 5])
-def test_binomial_threads_share_one_block_of_scratch(monkeypatch, threads):
+def test_draw_threads_share_one_block_of_scratch(monkeypatch, threads):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
-    _binomial_rows(derived_rng(1), 10, 0.3, 10)  # warm up outside the trace
-    count = 10**5
-    tracemalloc.start()
-    try:
-        _binomial_rows(derived_rng(1), 10, 0.3, count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the int64 result plus one block of float64 and bool scratch, with room
-    # for einsum's casting buffers but not for a second block
-    assert peak < 8 * count + 9 * _BINOMIAL_BLOCK_ELEMENTS + 2**18
+    count = 5 * _DRAW_BLOCK  # five blocks or more for every family
+    for family, shared, value, _, _ in _LAYOUTS:
+        _component_draws(derived_rng(1), family, shared, value, 10)  # warm up
+        tracemalloc.start()
+        try:
+            _component_draws(derived_rng(1), family, shared, value, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8-byte draws plus one block of float64 scratch and a kernel
+        # temporary of at most the same size, with room for the threads'
+        # bookkeeping but not for a second block
+        assert peak < 8 * count + 16 * _DRAW_BLOCK + 2**19, family
 
 
 def _binomial_experiment():
@@ -469,12 +561,12 @@ def test_an_experiment_never_forks_and_joins_every_thread(monkeypatch, started_t
 
 def test_geometric_sampler_memory_is_bounded():
     rng = derived_rng(1)
-    _geometric_inverse(rng, 0.25, 10)  # warm up outside the trace
+    _component_draws(rng, Family.GEOMETRIC_P, SharedParams(), 0.25, 10)  # warm up
     tracemalloc.start()
     try:
-        _geometric_inverse(rng, 0.25, 10**6)
+        _component_draws(rng, Family.GEOMETRIC_P, SharedParams(), 0.25, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the uniforms and the int64 result, 8 MB each, and no temporaries
-    assert peak < 2 * 8 * 10**6 + 2**20
+    # the int64 result, 8 MB, and one block of uniforms and its int64 floors
+    assert peak < 8 * 10**6 + 2**20 + 2**21
