@@ -1,9 +1,10 @@
 """Measure the memory and wall time of ``sample`` at 10^6 draws per family.
 
-For one k = 2 uniform mixture of each family, a fresh process records the
-tracemalloc peak of one ``sample(spec, 10**6, seed=1)`` call, after one
-untraced call of the same size (lazy imports and thread pools), and the wall
-times of seven further calls with tracing off.  Two source trees, such as a
+For one k = 2 uniform mixture of each family (two for Poisson, at low and
+at higher rates), a fresh process records the tracemalloc peak of one
+``sample(spec, 10**6, seed=1)`` call, after one untraced call of the same
+size (lazy imports and thread pools), and the wall times of seven further
+calls with tracing off.  Two source trees, such as a
 parent commit and a change, can be compared side by side:
 
     git archive <parent> src | tar -x -C /tmp/parent
@@ -36,6 +37,8 @@ ROUNDS = 3
 #: (family, grid step, lowest index, highest index, indices, shared params)
 SPECS = [
     ("poisson", 1, 0, 8, (1, 4), {}),
+    # the rates of a Poisson MDE run at the grid size its table cap allows
+    ("poisson", 1, 0, 24, (7, 19), {}),
     ("binomial-p", Fraction(1, 2), 0, 2, (1, 2), {"n": 10}),
     ("geometric-p", Fraction(1, 4), 1, 4, (1, 3), {}),
     ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
@@ -97,7 +100,7 @@ def main() -> None:
                                         for m in rounds],
             }
             results[label].append(row)
-            print(f"{label} {row['family']}: peak {row['traced_peak_mb']} MB, "
+            print(f"{label} {row['family']} {tuple(indices)}: peak {row['traced_peak_mb']} MB, "
                   f"median {row['median_wall_s'] * 1e3:.2f} ms", flush=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({

@@ -361,10 +361,6 @@ def read_config(path: PathLike) -> ExperimentConfig:
     return config_from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def write_config(path: PathLike, config: ExperimentConfig) -> None:
-    Path(path).write_text(config_to_text(config), encoding="utf-8")
-
-
 def write_csv(path: PathLike, header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -184,15 +184,6 @@ def learn_geometric(
     return _learn_algebraic(data, grid, SharedParams(), k, T, variant, oracle_spec, truth)
 
 
-def gaussian_grid_from_data(
-    data: SampleDataset, eps: Fraction, sigma: float
-) -> ParameterGrid:
-    """Bounded index range inferred from the data: min/max widened by 4 sigma."""
-    lo = math.floor((float(data.values.min()) - 4.0 * sigma) / float(eps))
-    hi = math.ceil((float(data.values.max()) + 4.0 * sigma) / float(eps))
-    return ParameterGrid(Family.GAUSSIAN, Fraction(eps), lo, hi)
-
-
 @lru_cache(maxsize=4)
 def _candidates(grid: ParameterGrid, k: int, shared: SharedParams) -> Tuple[MixtureSpec, ...]:
     """``candidate_family(grid, k, shared)``, built once while it is among

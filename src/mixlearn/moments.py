@@ -49,11 +49,6 @@ def _power_sums(values: np.ndarray, T: int) -> List[int]:
     return sums
 
 
-def _power_sum(values: np.ndarray, ell: int) -> int:
-    """Sum of values**ell as an exact integer."""
-    return _power_sums(values, ell)[ell]
-
-
 def estimate_moments(data: SampleDataset, T: int) -> EmpiricalMoments:
     """S_ell = sum Y_i^ell / t, held as exact rationals."""
     if len(data) == 0:

@@ -80,12 +80,6 @@ def stirling2_row(ell: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def stirling2(ell: int, j: int) -> int:
-    if j < 0 or j > ell:
-        return 0
-    return stirling2_row(ell)[j]
-
-
 def _geometric_pmf_poly(ell: int) -> IntegerPolynomial:
     # Pr(X = ell) = (1-p)^ell p = sum_j C(ell,j) (-1)^j p^(j+1), degree ell+1.
     coeffs = [0] * (ell + 2)

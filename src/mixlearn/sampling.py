@@ -15,7 +15,9 @@ the first and the second run):
 =======================  ====  =====  ===================================
 family                   runs  width  row value
 =======================  ====  =====  ===================================
-poisson(lam)             1     1      inverse CDF against a pmf table
+poisson(lam)             1     1      inverse CDF against a pmf table of
+                                      L entries, by a guide of
+                                      2^ceil(log2 L) buckets
 binomial(n, p)           1     n      the number of uniforms < p
 geometric(p)             1     1      floor(log(1 - u) / log(1 - p))
 gaussian                 2     1      sqrt(-2 log(1 - u)) cos(2 pi v)
@@ -35,8 +37,9 @@ advanced past all the runs, so neither the values nor its later state
 depend on the block size or the number of threads.
 
 Memory is bounded per draw: ``sample_bytes`` counts the output and one
-component's draws (8 bytes a draw each) and the component choice (the
-smallest unsigned type that holds k - 1), the choice uniforms come in
+component's draws (8 bytes a draw each), the component choice (the
+smallest unsigned type that holds k - 1) and, for rows wider than a block,
+one row of uniforms per draw thread; the choice uniforms come in
 blocks of ``_CHOICE_BLOCK``, and each component's draws are freed before
 the next component draws.  A call that would hold more than ``SAMPLE_CAP``
 bytes is refused before anything is allocated.
@@ -48,6 +51,7 @@ import contextvars
 import copy
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,7 +149,8 @@ def _geometrics(runs: int, p: float):
 
 def _poisson(lam: float):
     """The layout of a Poisson(lam) draw: inverse CDF against a pmf table
-    that reaches 40 standard deviations past the mean."""
+    that reaches 40 standard deviations past the mean, found through a guide
+    table; every draw equals the binary search of the table."""
     if lam > _POISSON_RATE_CAP:
         raise ContractError(f"poisson inversion capped at rate {_POISSON_RATE_CAP}")
     if lam == 0.0:
@@ -156,7 +161,28 @@ def _poisson(lam: float):
         np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1))))
     )
     cdf = np.cumsum(np.exp(logpmf))
-    return 1, 1, lambda u, out: np.copyto(out, np.searchsorted(cdf, u[0, :, 0], side="right"))
+    # indexed search (Chen & Asau 1974) over m buckets [b/m, (b+1)/m): lo[b]
+    # entries are <= b/m, so where a bucket holds at most one entry, the
+    # entries <= u number lo[b] + (u >= cdf[lo[b]]); the wide buckets (the
+    # tails, where the pmf < 1/m) fall back to the binary search
+    m = 1 << (cdf.size - 1).bit_length()
+    edges = np.arange(m + 1) / m
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    wide = np.searchsorted(cdf, edges[1:], side="left") - lo > 1
+    pad = np.append(cdf, np.inf)  # cdf[lo[b]], also where lo[b] is past every entry
+
+    def kernel(u, out):
+        u = u[0, :, 0]
+        # u * m is exact, as m is a power of two
+        b = np.multiply(u, m, out=np.empty(u.size, dtype=np.intp), casting="unsafe")
+        tail = np.flatnonzero(wide[b])
+        # mode="clip" writes into out unbuffered; b is always in range
+        np.take(lo, b, out=out, mode="clip")
+        del b  # so that one temporary of 8 bytes a row is alive at a time
+        out += u >= np.take(pad, out)
+        out[tail] = np.searchsorted(cdf, u[tail], side="right")
+
+    return 1, 1, kernel
 
 
 def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
@@ -181,29 +207,36 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
     parts = min(_draw_threads.get(_sampling_threads), -(-count // rows))
     rows = max(1, rows // parts)
 
+    errors = []
+
     def fill(lo: int, hi: int) -> None:
-        # run j is read from a copy of rng advanced to its row lo
-        streams = [np.random.Generator(copy.deepcopy(rng.bit_generator)
-                                       .advance((j * count + lo) * width))
-                   for j in range(runs)]
-        u = np.empty((runs, min(rows, hi - lo), width))
-        for start in range(lo, hi, rows):
-            block = u[:, : min(rows, hi - start)]
-            for stream, run in zip(streams, block):
-                stream.random(out=run)
-            kernel(block, out[start : start + block.shape[1]])
+        try:
+            # run j is read from a copy of rng advanced to its row lo
+            streams = [np.random.Generator(copy.deepcopy(rng.bit_generator)
+                                           .advance((j * count + lo) * width))
+                       for j in range(runs)]
+            u = np.empty((runs, min(rows, hi - lo), width))
+            for start in range(lo, hi, rows):
+                block = u[:, : min(rows, hi - start)]
+                for stream, run in zip(streams, block):
+                    stream.random(out=run)
+                kernel(block, out[start : start + block.shape[1]])
+        except BaseException as exc:  # raised again once every range has ended
+            errors.append(exc)
 
-    if parts == 1:
-        fill(0, count)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = [count * i // parts for i in range(parts + 1)]
-        with ThreadPoolExecutor(parts - 1) as pool:
-            futures = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            fill(0, bounds[1])
-        for future in futures:
-            future.result()
+    # one thread per range after the first, which this thread fills: a pool
+    # would hand a range to a worker that had finished its own, and run the
+    # two ranges one after the other
+    bounds = [count * i // parts for i in range(parts + 1)]
+    threads = [threading.Thread(target=fill, args=bound)
+               for bound in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    fill(0, bounds[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     rng.bit_generator.advance(runs * count * width)
     return out
 
@@ -256,9 +289,19 @@ def _component_draws(
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
-    scratch aside: the output, the component choice, and the draws of one
-    component if it took every row."""
-    return count * (16 + np.min_scalar_type(spec.k - 1).itemsize)
+    scratch aside: the output, the component choice, the draws of one
+    component if it took every row, and, where a component's row of runs x
+    width uniforms is wider than ``_DRAW_BLOCK``, one such row per draw thread."""
+    held = count * (16 + np.min_scalar_type(spec.k - 1).itemsize)
+    # runs x width read from the family and value, not from ``_layout``,
+    # which would build a Poisson table: 2d for chi-squared, r for negative
+    # binomial; every other family's row is at most _BINOMIAL_TRIAL_CAP wide
+    runs = {Family.CHI_SQUARED: 2, Family.NEG_BINOMIAL: 1}.get(spec.family)
+    if runs is not None:
+        row = runs * int(max(spec.values()))
+        if row > _DRAW_BLOCK:
+            held += 8 * row * min(_draw_threads.get(_sampling_threads), count)
+    return held
 
 
 def _check_count(spec: MixtureSpec, count: int) -> None:

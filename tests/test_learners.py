@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -26,11 +27,15 @@ from mixlearn import (
     uniform_spec,
 )
 from mixlearn import learners, sampling
-from mixlearn.learners import (
-    gaussian_grid_from_data,
-    moments_order_binomial,
-    moments_order_geometric_u,
-)
+from mixlearn.learners import moments_order_binomial, moments_order_geometric_u
+
+
+def gaussian_grid_from_data(data, eps, sigma):
+    """Reference: the bounded index range inferred from the data, min/max
+    widened by 4 sigma."""
+    lo = math.floor((float(data.values.min()) - 4.0 * sigma) / float(eps))
+    hi = math.ceil((float(data.values.max()) + 4.0 * sigma) / float(eps))
+    return ParameterGrid(Family.GAUSSIAN, Fraction(eps), lo, hi)
 
 
 def test_default_moment_orders():

@@ -19,7 +19,12 @@ from mixlearn import (
     pmf_lattice_spacing,
     round_to_lattice,
 )
-from mixlearn.moments import _power_sum
+from mixlearn.moments import _power_sums
+
+
+def _power_sum(values, ell):
+    """Reference: the sum of values**ell as an exact integer."""
+    return _power_sums(values, ell)[ell]
 
 
 def _data(values):

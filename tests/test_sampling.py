@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mixlearn.sampling as sampling
 from mixlearn import (
@@ -25,7 +26,14 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
-from mixlearn.sampling import _DRAW_BLOCK, _component_draws, _layout, derived_rng
+from mixlearn.sampling import (
+    _DRAW_BLOCK,
+    _POISSON_RATE_CAP,
+    _component_draws,
+    _layout,
+    _poisson,
+    derived_rng,
+)
 
 
 def _spec(family, indices, **shared):
@@ -311,6 +319,53 @@ def test_sample_matches_searchsorted_reference(spec):
     assert np.array_equal(got, _searchsorted_reference_sample(spec, 30_000, 8, 3))
 
 
+def _poisson_cdf(lam):
+    """Reference: the summed pmf table a Poisson(lam) draw inverts."""
+    cutoff = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    logpmf = -lam + np.arange(cutoff + 1) * math.log(lam) - np.cumsum(
+        np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
+    return np.cumsum(np.exp(logpmf))
+
+
+def _adversarial_uniforms(cdf):
+    """Each table entry and its neighbours toward 0 and 2, each edge b/m of
+    the m = 2**ceil(log2 len(cdf)) guide buckets and its predecessor, 0.0,
+    and the largest double below 1, kept where they are in [0, 1)."""
+    m = 1 << (cdf.size - 1).bit_length()
+    edges = np.arange(m) / m
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-12.0, math.log10(_POISSON_RATE_CAP))
+       .map(lambda e: min(10.0**e, _POISSON_RATE_CAP)),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+       st.integers(0, 2**32 - 1))
+@example(1e-12, [], 0)
+@example(_POISSON_RATE_CAP, [], 0)
+def test_poisson_kernel_equals_the_binary_search(lam, drawn, seed):
+    cdf = _poisson_cdf(lam)
+    u = np.concatenate([drawn, np.random.default_rng(seed).random(10_000),
+                        _adversarial_uniforms(cdf)])
+    _, _, kernel = _poisson(lam)
+    out = np.zeros(u.size, dtype=np.int64)
+    kernel(u.reshape(1, -1, 1), out)
+    assert np.array_equal(out, np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("lam", [1e-12, 1.0, 7.0, 24.0, _POISSON_RATE_CAP])
+def test_poisson_draws_equal_the_binary_search_at_any_thread_count(monkeypatch, threads, lam):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    count = 3 * _DRAW_BLOCK + 5
+    rng, ref = derived_rng(9), derived_rng(9)
+    got = _component_draws(rng, Family.POISSON, SharedParams(), lam, count)
+    assert np.array_equal(got, np.searchsorted(_poisson_cdf(lam), ref.random(count), side="right"))
+    assert rng.random() == ref.random()
+
+
 def _binomial_spec(n, indices=(1, 5)):
     return uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 8), 0, 8), indices,
                         SharedParams(n=n))
@@ -349,6 +404,12 @@ PINNED_SAMPLES = [
     ("neg-binomial", uniform_spec(ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 4), (1, 3),
                                   SharedParams(p=Fraction(1, 3))), 20_001,
      "14eaa07196dabd209d61f1cd7f796bf71d8d078ed0ad68d7f424fed200cb2d8e"),
+    # computed with one binary search of the pmf table per Poisson draw
+    ("poisson-0-24", uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 24), (7, 19)), 20_001,
+     "cf1fe37c79921f990ea123c24700326df1ecf8a42eefe96c1ef90988587b2d6c"),
+    ("poisson-rate-cap", MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 10_000), (0, 500, 10_000),
+                                     (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))), 20_001,
+     "996c8d82d32ccdcc59ebb523e3349e15e384c1436c6b1046920ba81918403dc7"),
 ]
 
 #: pins over several blocks of component choice, computed with the sampler
@@ -378,6 +439,8 @@ PINNED_SAMPLES += [
         ("gaussian", "73b64ff540f800fc0e05d9673d3aba0ba4076c01f33b8192b88b9a5e0249a472"),
         ("chi-squared", "acae7e41fcc6f98bd09d60de3c806a1f060600a76dd493a6420553056e0b2c0b"),
         ("neg-binomial", "16fd60fc0d8477babb3d2867b5c756a2b42381ff1d6dd5daffdb45e626723d30"),
+        ("poisson-0-24", "94358b4adede16e3b205e89378cb9a61f7ec6827c5033c1c9db69f8adbada053"),
+        ("poisson-rate-cap", "130fa947dfe2914eab7a46458aa0d5382b5e9ccb85807c8984e10827e1b9bf09"),
     ]
 ] + [
     ("binomial-k3-blocks",
@@ -446,6 +509,43 @@ def test_a_draw_past_the_sample_cap_allocates_nothing():
     try:
         with pytest.raises(CapExceededError):
             sample(spec, 10**13, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def _one_component(family, value, **shared):
+    return MixtureSpec(ParameterGrid(family, 1, value, value), (value,), (Fraction(1),),
+                       SharedParams(**shared))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rows_wider_than_a_block_are_counted_per_draw_thread(monkeypatch, threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    # a row of 2 x 2**20 uniforms holds 16 MB, and each draw thread holds one
+    spec = _one_component(Family.CHI_SQUARED, 2**20)
+    sample(spec, 2, seed=1)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        sample(spec, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampling.sample_bytes(spec, 2) + 3 * 2**20
+
+
+@pytest.mark.parametrize("spec", [
+    # one row of 2d, or of r, float64 uniforms holds just over 2**32 bytes
+    _one_component(Family.CHI_SQUARED, 2**28 + 1),
+    _one_component(Family.NEG_BINOMIAL, 2**29 + 1, p=Fraction(1, 3)),
+], ids=["chi-squared", "neg-binomial"])
+def test_a_row_past_the_sample_cap_allocates_nothing(spec):
+    assert sampling.sample_bytes(spec, 1) > sampling.SAMPLE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            sample(spec, 1, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
