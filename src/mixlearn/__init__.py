@@ -42,7 +42,6 @@ from .moments import (
     estimate_moments,
     estimate_pmf,
     moment_lattice_spacing,
-    pmf_lattice_spacing,
     plan_samples,
     round_to_lattice,
 )

@@ -80,21 +80,20 @@ def _learn_algebraic(
     shared: SharedParams,
     k: int,
     T: int,
-    observable: str,
     oracle_spec: Optional[MixtureSpec],
     truth: Optional[Sequence[int]],
 ) -> LearnResult:
     """Estimate -> lattice-round -> triangular solve -> Newton reconstruction.
 
-    The observables are the raw moments M_0..M_T (``observable="moments"``)
-    or the pmf values P_0..P_T (``"pmf"``).  Observable ell is a polynomial
-    in the grid index of degree ell (moments) or ell + 1 (pmf values), so
-    distinct mixtures put it on a lattice of spacing step^degree / k.
-    M_0 = 1 is exact and is not rounded.
+    The observables are the pmf values P_0..P_T on the geometric p-grid, and
+    the raw moments M_0..M_T on every other grid.  Observable ell is a
+    polynomial in the grid index of degree ell (moments) or ell + 1 (pmf
+    values), so distinct mixtures put it on a lattice of spacing
+    step^degree / k.  M_0 = 1 is exact and is not rounded.
     """
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    pmf = observable == "pmf"
+    pmf = grid.family is Family.GEOMETRIC_P
     sampled = oracle_spec is None
     if not sampled:
         exact = mixture_pmf_exact if pmf else mixture_moment_exact
@@ -126,7 +125,7 @@ def _learn_algebraic(
         "samples": float(len(data) if sampled else 0),
         "T": float(T),
     }
-    return _finish(recovered, observable, diag, truth)
+    return _finish(recovered, "pmf" if pmf else "moments", diag, truth)
 
 
 def learn_binomial_moments(
@@ -156,7 +155,7 @@ def learn_binomial_moments(
         raise ContractError("binomial-p moments need the shared trial count n")
     if n < T:
         raise DomainError(f"need n >= T = {T} trials, got {n}")
-    return _learn_algebraic(data, grid, shared, k, T, "moments", oracle_spec, truth)
+    return _learn_algebraic(data, grid, shared, k, T, oracle_spec, truth)
 
 
 def learn_geometric(
@@ -181,7 +180,7 @@ def learn_geometric(
             T = moments_order_binomial(grid.step, k)
     else:
         raise ContractError(f"unknown geometric variant {variant!r}")
-    return _learn_algebraic(data, grid, SharedParams(), k, T, variant, oracle_spec, truth)
+    return _learn_algebraic(data, grid, SharedParams(), k, T, oracle_spec, truth)
 
 
 @lru_cache(maxsize=4)

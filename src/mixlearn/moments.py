@@ -103,11 +103,6 @@ def moment_lattice_spacing(step: Fraction, k: int, ell: int) -> Fraction:
     return Fraction(step) ** ell / k
 
 
-def pmf_lattice_spacing(step: Fraction, k: int, ell: int) -> Fraction:
-    """Gap for pmf values, whose polynomials have degree ell + 1."""
-    return Fraction(step) ** (ell + 1) / k
-
-
 @dataclass(frozen=True)
 class PlanEntry:
     order: int
@@ -166,32 +161,30 @@ def plan_samples(
     if T < 1:
         raise ContractError("plan needs T >= 1")
     eps = grid.step
-    entries: List[PlanEntry] = []
+    # per family: the first order, the degree of observable ell less ell, and
+    # the bound on t_ell
     if family is Family.BINOMIAL_P and scheme == "chebyshev":
         if shared.n is None:
             raise ContractError("binomial-p plan needs shared n")
-        for ell in range(1, T + 1):
-            gamma = moment_lattice_spacing(eps, k, ell) / 2
-            delta = _failure_prob(T, ell, uniform_delta)
-            t = _ceil_fraction(gamma**-2 * shared.n ** (2 * ell) / delta)
-            entries.append(PlanEntry(ell, gamma, delta, t))
+        first, offset = 1, 0
+        bound = lambda ell, gamma, delta: _ceil_fraction(
+            gamma**-2 * shared.n ** (2 * ell) / delta)
     elif family is Family.GEOMETRIC_U and scheme == "chebyshev":
         p_min = Fraction(1, 1) / (1 + grid.max_index * eps)
-        for ell in range(1, T + 1):
-            gamma = moment_lattice_spacing(eps, k, ell) / 2
-            delta = _failure_prob(T, ell, uniform_delta)
-            t = _ceil_fraction(
-                2 * gamma**-2 * (4 * ell / p_min) ** (2 * ell + 1) / delta
-            )
-            entries.append(PlanEntry(ell, gamma, delta, t))
+        first, offset = 1, 0
+        bound = lambda ell, gamma, delta: _ceil_fraction(
+            2 * gamma**-2 * (4 * ell / p_min) ** (2 * ell + 1) / delta)
     elif family is Family.GEOMETRIC_P and scheme == "chernoff":
-        for ell in range(0, T + 1):
-            gamma = pmf_lattice_spacing(eps, k, ell) / 2
-            delta = _failure_prob(T, ell, uniform_delta)
-            t = math.ceil(3 * float(gamma**-2) * math.log(2 / float(delta)))
-            entries.append(PlanEntry(ell, gamma, delta, t))
+        first, offset = 0, 1  # pmf values
+        bound = lambda ell, gamma, delta: math.ceil(
+            3 * float(gamma**-2) * math.log(2 / float(delta)))
     else:
         raise ContractError(f"unsupported plan: {family.value} / {scheme}")
+    entries: List[PlanEntry] = []
+    for ell in range(first, T + 1):
+        gamma = moment_lattice_spacing(eps, k, ell + offset) / 2
+        delta = _failure_prob(T, ell, uniform_delta)
+        entries.append(PlanEntry(ell, gamma, delta, bound(ell, gamma, delta)))
     if sum(e.failure_prob for e in entries) >= 1:
         raise DomainError("plan failure probabilities must sum below 1")
     return SamplePlan(

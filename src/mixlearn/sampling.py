@@ -30,18 +30,20 @@ A rate-0 Poisson and a geometric whose p is 1.0 in floating point read 0 runs.
 A draw holds ``_DRAW_BLOCK`` uniforms at once, unless one row holds more,
 and a draw of one block reads its runs in stream order.  A larger draw is
 split into at most one contiguous row range per available CPU (per CPU of
-its share, on an experiment's trial thread), of count * i // parts rows
-before range i.  A range reads each run from a copy of the generator
-advanced (``PCG64.advance``) to its first row, and the generator ends
-advanced past all the runs, so neither the values nor its later state
-depend on the block size or the number of threads.
+its share, on an experiment's trial thread) and per row of a block, of
+count * i // parts rows before range i, so its threads together hold one
+block, or one row where a row is wider than a block.  A range reads each
+run from a copy of the generator advanced (``PCG64.advance``) to its first
+row, and the generator ends advanced past all the runs, so neither the
+values nor its later state depend on the block size or the number of
+threads.
 
 Memory is bounded per draw: ``sample_bytes`` counts the output and one
 component's draws (8 bytes a draw each), the component choice (the
 smallest unsigned type that holds k - 1) and, for rows wider than a block,
-one row of uniforms per draw thread; the choice uniforms come in
-blocks of ``_CHOICE_BLOCK``, and each component's draws are freed before
-the next component draws.  A call that would hold more than ``SAMPLE_CAP``
+one row of uniforms; the choice uniforms come in blocks of
+``_CHOICE_BLOCK``, and each component's draws are freed before the next
+component draws.  A call that would hold more than ``SAMPLE_CAP``
 bytes is refused before anything is allocated.
 """
 
@@ -67,7 +69,7 @@ SAMPLE_CAP = 2**32
 #: component-choice uniforms held at once by ``sample`` (512 KB of float64)
 _CHOICE_BLOCK = 2**16
 #: uniforms one component draw holds at once, its threads together (1 MB of
-#: float64), unless one row per thread holds more
+#: float64), unless one row holds more
 _DRAW_BLOCK = 2**17
 #: the CPUs this process may run on: the threads one component draw may
 #: use, and at most the trial threads of ``learners.run_experiment``
@@ -192,8 +194,9 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
 
     ``kernel(u, out)`` writes the values of a block of rows into ``out``
     from their uniforms ``u``, runs x rows x ``width``; it may overwrite
-    ``u``.  The threads of the split together hold one block of scratch, and
-    every thread is joined before the call returns.
+    ``u``.  The split takes at most one thread per row of a block, so its
+    threads together hold one block of scratch, or one row where a row is
+    wider than a block, and every thread is joined before the call returns.
     """
     count = out.size
     if runs == 0:
@@ -204,8 +207,8 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
         # from rng itself, with no generator copies to make
         kernel(rng.random((runs, count, width)), out)
         return out
-    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows))
-    rows = max(1, rows // parts)
+    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows), rows)
+    rows //= parts
 
     errors = []
 
@@ -291,7 +294,8 @@ def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
     scratch aside: the output, the component choice, the draws of one
     component if it took every row, and, where a component's row of runs x
-    width uniforms is wider than ``_DRAW_BLOCK``, one such row per draw thread."""
+    width uniforms is wider than ``_DRAW_BLOCK``, one such row: the same on
+    every host, as a draw's threads never hold more than a block or a row."""
     held = count * (16 + np.min_scalar_type(spec.k - 1).itemsize)
     # runs x width read from the family and value, not from ``_layout``,
     # which would build a Poisson table: 2d for chi-squared, r for negative
@@ -300,7 +304,7 @@ def sample_bytes(spec: MixtureSpec, count: int) -> int:
     if runs is not None:
         row = runs * int(max(spec.values()))
         if row > _DRAW_BLOCK:
-            held += 8 * row * min(_draw_threads.get(_sampling_threads), count)
+            held += 8 * row
     return held
 
 

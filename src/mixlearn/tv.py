@@ -38,6 +38,12 @@ SURVEY_CAP = 632
 CHARFN_GRID_CAP = 2**20
 #: Most entries of one discrete mass table (``mass_table``): 32 MB of float64.
 MASS_TABLE_CAP = 2**22
+#: Most points of one crossing scan (``density_crossings``): 32 MB of float64.
+#: At the cap, the scan of a Gaussian pair 41,900 sigma apart takes 0.17 s
+#: with a 192 MB traced peak (Python 3.11, numpy 2.4, 2 vCPU); its 4.2
+#: million cells where both densities are 0 are then bisected one by one, in
+#: 98 s.
+SCAN_GRID_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -208,7 +214,12 @@ def _continuous_range(spec: MixtureSpec, target: float) -> Tuple[float, float]:
 
 def _scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo+step, (lo+step)+step, ... summed in sequence, ending at the first
-    point that reaches hi, clipped to hi."""
+    point that reaches hi, clipped to hi.  A grid of more than ``SCAN_GRID_CAP``
+    points is refused before anything is allocated."""
+    # refuses a step of 0 and an infinite or nan end too
+    if not hi - lo <= (SCAN_GRID_CAP - 3) * step:
+        raise CapExceededError(f"a crossing scan of [{lo:.6g}, {hi:.6g}] in steps of "
+                               f"{step:.6g} exceeds the cap {SCAN_GRID_CAP} points")
     # one step more than needed: rounding in the running sum drifts by far
     # less than a step over the grid
     n = int((hi - lo) / step) + 2

@@ -191,6 +191,17 @@ def test_tv_exact_past_the_mass_table_cap_exit_code(tmp_path, capsys):
     assert rc == 1 and "error:" in err and "mass table exceeds the cap" in err
 
 
+def test_tv_exact_past_the_crossing_scan_cap_exit_code(tmp_path, capsys):
+    # a scan of sigma / 100 steps over 0..10^4 at sigma = 10^-6: about 10^12 points
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    spec = "family=gaussian\nsigma=1e-6\nmin_index=0\nmax_index=10000\nindices={}\n"
+    a.write_text(spec.format(0))
+    b.write_text(spec.format(10_000))
+    rc = cli_dispatch(["tv", "exact", "--spec-a", str(a), "--spec-b", str(b)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "crossing scan" in err
+
+
 def test_dispatch_answers_as_a_fresh_parser_does(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text(POISSON_SPEC_A)

@@ -16,7 +16,6 @@ from mixlearn import (
     estimate_pmf,
     moment_lattice_spacing,
     plan_samples,
-    pmf_lattice_spacing,
     round_to_lattice,
 )
 from mixlearn.moments import _power_sums
@@ -118,7 +117,7 @@ def test_round_to_lattice_ties_to_even():
 
 def test_lattice_spacings():
     assert moment_lattice_spacing(Fraction(1, 2), 2, 3) == Fraction(1, 16)
-    assert pmf_lattice_spacing(Fraction(1, 2), 2, 3) == Fraction(1, 32)
+    assert moment_lattice_spacing(Fraction(1, 2), 2, 4) == Fraction(1, 32)
 
 
 def test_plan_binomial_chebyshev_example():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -523,7 +524,8 @@ def _one_component(family, value, **shared):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_rows_wider_than_a_block_are_counted_per_draw_thread(monkeypatch, threads):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
-    # a row of 2 x 2**20 uniforms holds 16 MB, and each draw thread holds one
+    # a row of 2 x 2**20 uniforms holds 16 MB, and the draw holds one row at
+    # any thread count
     spec = _one_component(Family.CHI_SQUARED, 2**20)
     sample(spec, 2, seed=1)  # warm up lazy imports outside the trace
     tracemalloc.start()
@@ -624,6 +626,40 @@ def test_draw_threads_share_one_block_of_scratch(monkeypatch, threads):
         # temporary of at most the same size, with room for the threads'
         # bookkeeping but not for a second block
         assert peak < 8 * count + 16 * _DRAW_BLOCK + 2**19, family
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_rows_of_over_half_a_block_take_one_draw_thread(monkeypatch, threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    # a row of 2 x 60,000 uniforms: a block holds one, so the draw's threads
+    # hold one row between them, not one each
+    count = 8
+    _component_draws(derived_rng(1), Family.CHI_SQUARED, SharedParams(), 60_000, 1)  # warm up
+    tracemalloc.start()
+    try:
+        _component_draws(derived_rng(1), Family.CHI_SQUARED, SharedParams(), 60_000, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count + 16 * _DRAW_BLOCK + 2**19
+
+
+def test_sample_bytes_is_the_same_at_any_cpu_count(monkeypatch, started_threads):
+    specs = [_spec(family, (1, 2), **dataclasses.asdict(shared))
+             for family, shared, _, _, _ in _LAYOUTS]
+    specs += [_one_component(Family.CHI_SQUARED, d) for d in (60_000, 2**20, 2**27)]
+    specs.append(_one_component(Family.NEG_BINOMIAL, 2**18, p=Fraction(1, 3)))
+    for spec in specs:
+        for count in (1, 2, 8, 10**6):
+            held = set()
+            for cpus in (1, 2, 64):
+                monkeypatch.setattr(sampling, "_sampling_threads", cpus)
+                held.add(sampling.sample_bytes(spec, count))
+            assert len(held) == 1, (spec, count)
+    # the output, the choice, the draws and one row of 2 x 2**27 uniforms:
+    # under the cap on every host
+    assert sampling.sample_bytes(specs[-2], 2) == 2 * 17 + 8 * 2**28 <= sampling.SAMPLE_CAP
+    assert started_threads == []
 
 
 def _binomial_experiment():

@@ -402,6 +402,24 @@ def test_mass_table_over_the_cap_evaluates_no_mass(monkeypatch):
     assert calls == []
 
 
+def test_a_crossing_scan_past_the_cap_allocates_nothing():
+    # sigma = 10^-6 over 0..10^4 asks for a scan of about 10^12 points
+    grid = ParameterGrid(Family.GAUSSIAN, 1, 0, 10_000)
+    shared = SharedParams(sigma=1e-6)
+    a, b = uniform_spec(grid, (0,), shared), uniform_spec(grid, (10_000,), shared)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="crossing scan"):
+            density_crossings(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    for lo, hi, step in ((0.0, 1.0, 0.0), (0.0, math.inf, 1.0), (0.0, math.nan, 1.0)):
+        with pytest.raises(CapExceededError):
+            tv._scan_grid(lo, hi, step)
+
+
 def test_mass_table_evaluates_each_distinct_component_once(monkeypatch):
     calls = []
     component_pmf = tv._component_pmf
