@@ -39,7 +39,10 @@ SPECS = [
     ("poisson", 1, 0, 8, (1, 4), {}),
     # the rates of a Poisson MDE run at the grid size its table cap allows
     ("poisson", 1, 0, 24, (7, 19), {}),
+    # p = 1/2 and p = 1: the p = 1 component's rows are all n
     ("binomial-p", Fraction(1, 2), 0, 2, (1, 2), {"n": 10}),
+    # p = 1/4 and 3/4: no endpoint, so every row counts its n uniforms
+    ("binomial-p", Fraction(1, 4), 0, 4, (1, 3), {"n": 10}),
     ("geometric-p", Fraction(1, 4), 1, 4, (1, 3), {}),
     ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
     ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),

@@ -372,17 +372,31 @@ def _signature_rows(
     """Every object of a sweep with its ``power_sum_signature`` up to order
     T, read from ``_positional_power_sums``: multisets in position order
     (the q-ary enumeration order), subsets by size, each size in
-    ``combinations`` order (a stable sort of the positions by size)."""
+    ``combinations`` order (a stable sort of the positions by size).  An
+    object is its high digits' values (0..n//2-1) then its low digits'
+    values (the others), each read from a table over every setting of
+    those digits, as the power sums are."""
     mults = _digit_multiplicities(n, q, mode)
-    positions = np.arange(len(mults) ** n)
+    base = len(mults)
+    positions = np.arange(base ** n)
     if mode == "sets":
         sizes = _positional_power_sums(n, mults, 0, positions)
         positions = positions[np.argsort(sizes, kind="stable")]
+
+    def table(values: range) -> List[Tuple[int, ...]]:
+        # the first value's digit is the most significant
+        objects: List[Tuple[int, ...]] = [()]
+        for v in values:
+            objects = [obj + (v,) * m for obj in objects for m in mults]
+        return objects
+
+    highs, lows = table(range(n // 2)), table(range(n // 2, n))
     for lo in range(0, len(positions), 2**12):
         block = positions[lo:lo + 2**12]
+        high, low = np.divmod(block, base ** (n - n // 2))
         sums = (_positional_power_sums(n, mults, ell, block).tolist() for ell in range(T + 1))
-        for p, *signature in zip(block.tolist(), *sums):
-            yield _object_at(n, mults, p), tuple(signature)
+        for h, l, *signature in zip(high.tolist(), low.tolist(), *sums):
+            yield highs[h] + lows[l], tuple(signature)
 
 
 def _object_at(n: int, mults: Tuple[int, ...], position: int) -> Tuple[int, ...]:

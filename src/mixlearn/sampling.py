@@ -18,14 +18,22 @@ family                   runs  width  row value
 poisson(lam)             1     1      inverse CDF against a pmf table of
                                       L entries, by a guide of
                                       2^ceil(log2 L) buckets
-binomial(n, p)           1     n      the number of uniforms < p
+binomial(n, p)           1     n      the number of uniforms < p; n
+                                      where p >= 1.0, 0 where p <= 0.0
 geometric(p)             1     1      floor(log(1 - u) / log(1 - p))
 gaussian                 2     1      sqrt(-2 log(1 - u)) cos(2 pi v)
 chi-squared(d)           2     d      the sum of d squared such normals
 negative binomial(r, p)  r     1      the sum of r geometric(1 - p) draws
 =======================  ====  =====  ===================================
 
-A rate-0 Poisson and a geometric whose p is 1.0 in floating point read 0 runs.
+A component whose rows are all one value reads no uniform: the generator
+moves past its runs (``PCG64.advance``), no thread starts, and neither a
+uniform block nor an array of draws is allocated.  As u is in [0, 1), a
+binomial at p >= 1.0 always counts n and one at p <= 0.0 always counts 0;
+it keeps its 1 run of width n, so every later component reads the stream
+where it did.  A rate-0 Poisson, a geometric whose p is 1.0 in floating
+point, and so a negative binomial whose 1 - p rounds to 1.0, are 0 over
+0 runs.
 
 A draw holds ``_DRAW_BLOCK`` uniforms at once, unless one row holds more,
 and a draw of one block reads its runs in stream order.  A larger draw is
@@ -135,7 +143,7 @@ def _geometrics(runs: int, p: float):
     if p <= 0.0:
         raise DomainError("cannot sample a geometric with p = 0")
     if p >= 1.0:
-        return 0, 1, None
+        return 0, 1, 0
     scale = math.log1p(-p)
 
     def kernel(u, out):
@@ -156,7 +164,7 @@ def _poisson(lam: float):
     if lam > _POISSON_RATE_CAP:
         raise ContractError(f"poisson inversion capped at rate {_POISSON_RATE_CAP}")
     if lam == 0.0:
-        return 0, 1, None
+        return 0, 1, 0
     cutoff = int(lam + 40.0 * math.sqrt(lam) + 50.0)
     xs = np.arange(cutoff + 1)
     logpmf = -lam + xs * math.log(lam) - np.cumsum(
@@ -199,8 +207,6 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
     wider than a block, and every thread is joined before the call returns.
     """
     count = out.size
-    if runs == 0:
-        return out
     rows = max(1, _DRAW_BLOCK // (runs * width))
     if count <= rows:
         # one block is one runs x count x width matrix, read in stream order
@@ -246,13 +252,16 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
 
 def _layout(family: Family, shared, value):
     """The (runs, width, kernel) of one component's draws, as ``_draw_rows``
-    takes them."""
+    takes them; in place of a kernel, the one value of every row where
+    there is one."""
     if family is Family.POISSON:
         return _poisson(float(value))
     if family is Family.BINOMIAL_P:
         n, p = shared.n, float(value)
         if n > _BINOMIAL_TRIAL_CAP:
             raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
+        if p <= 0.0 or p >= 1.0:
+            return 1, n, n if p >= 1.0 else 0
         return 1, n, lambda u, out: np.einsum("ij->i", u[0] < p, dtype=np.int64, out=out)
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         return _geometrics(1, float(value) if family is Family.GEOMETRIC_P
@@ -284,10 +293,15 @@ def _layout(family: Family, shared, value):
 def _component_draws(
     rng: np.random.Generator, family: Family, shared, value, count: int
 ) -> np.ndarray:
-    """``count`` draws of one component, by its family's layout."""
+    """``count`` draws of one component, by its family's layout: where every
+    row is one value, a read-only view of it, and ``rng`` advanced past the
+    runs without generating them."""
     runs, width, kernel = _layout(family, shared, value)
-    out = np.zeros(count, dtype=np.int64 if family in DISCRETE_FAMILIES else np.float64)
-    return _draw_rows(rng, runs, width, kernel, out)
+    dtype = np.int64 if family in DISCRETE_FAMILIES else np.float64
+    if not callable(kernel):
+        rng.bit_generator.advance(runs * count * width)
+        return np.broadcast_to(np.array(kernel, dtype=dtype), count)
+    return _draw_rows(rng, runs, width, kernel, np.zeros(count, dtype=dtype))
 
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:

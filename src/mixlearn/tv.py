@@ -223,7 +223,9 @@ def _scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
     # one step more than needed: rounding in the running sum drifts by far
     # less than a step over the grid
     n = int((hi - lo) / step) + 2
-    xs = np.add.accumulate(np.r_[lo, np.full(n, step)])
+    xs = np.full(n + 1, step)
+    xs[0] = lo
+    np.add.accumulate(xs, out=xs)  # in place: one grid-sized array
     end = int(np.argmax(xs >= hi))
     xs = xs[: end + 1]
     xs[end] = hi
@@ -265,7 +267,8 @@ def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
     diff = lambda x: pmf_or_pdf(a, x) - pmf_or_pdf(b, x)
     scale = a.shared.sigma if a.family is Family.GAUSSIAN else 1.0
     xs = _scan_grid(lo, hi, step)
-    d = pdf_array(a, xs) - pdf_array(b, xs)
+    d = pdf_array(a, xs)
+    d -= pdf_array(b, xs)
     neg = d < 0.0
     cells = np.flatnonzero((d[:-1] == 0.0) | (neg[:-1] != neg[1:]))
     return [

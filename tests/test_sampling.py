@@ -207,24 +207,38 @@ _LAYOUTS = [
     (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 3)), 4, 4, 1),
 ]
 _LAYOUT_IDS = [case[0].value for case in _LAYOUTS]
+#: binomial components at the ends of the grid, whose rows are all 0 or all
+#: n: a constant in place of a kernel, over the runs they would read
+_CONSTANT_LAYOUTS = [
+    (Family.BINOMIAL_P, SharedParams(n=10), Fraction(0), 1, 10),
+    (Family.BINOMIAL_P, SharedParams(n=10), Fraction(1), 1, 10),
+]
+_CONSTANT_IDS = ["binomial-p0", "binomial-p1"]
 
 
-@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS + _CONSTANT_LAYOUTS,
+                         ids=_LAYOUT_IDS + _CONSTANT_IDS)
 def test_each_family_is_runs_of_rows(family, shared, value, runs, width):
     assert _layout(family, shared, value)[:2] == (runs, width)
 
 
 def _one_matrix(rng, family, shared, value, count):
-    """One component's draws from one runs x count x width uniform array."""
+    """One component's draws from one runs x count x width uniform array;
+    a constant layout reads the array and fills every row with its value."""
     runs, width, kernel = _layout(family, shared, value)
     out = np.zeros(count, dtype=np.float64 if family in (Family.GAUSSIAN, Family.CHI_SQUARED)
                    else np.int64)
-    kernel(rng.random((runs, count, width)), out)
+    u = rng.random((runs, count, width))
+    if callable(kernel):
+        kernel(u, out)
+    else:
+        out[:] = kernel
     return out
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
-@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS + _CONSTANT_LAYOUTS,
+                         ids=_LAYOUT_IDS + _CONSTANT_IDS)
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (2, 1), (3, 5)])
 def test_row_blocks_match_one_matrix(monkeypatch, threads, family, shared, value, runs,
                                      width, blocks, extra):
@@ -278,6 +292,37 @@ def test_a_component_of_zero_runs_reads_no_uniform(family, shared, value):
     assert draws.dtype == np.int64 and not draws.any()
     # the first uniform of seed 1, as if the draw had not happened
     assert rng.random() == 0.5118216247002567
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])
+@pytest.mark.parametrize("family, shared, value, runs, width", _CONSTANT_LAYOUTS,
+                         ids=_CONSTANT_IDS)
+def test_a_constant_component_moves_the_stream_past_its_rows(monkeypatch, threads, family,
+                                                             shared, value, runs, width):
+    monkeypatch.setattr(sampling, "_sampling_threads", threads)
+    count = 5 * (_DRAW_BLOCK // (runs * width))  # five blocks of rows
+    rng, ref = derived_rng(6, 5), derived_rng(6, 5)
+    got = _component_draws(rng, family, shared, value, count)
+    # the counts of uniforms < p in one count x n matrix: all 0 or all n
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (ref.random((count, width)) < float(value)).sum(axis=1))
+    assert rng.random() == ref.random()
+
+
+def test_a_constant_component_starts_no_thread_and_holds_no_rows(monkeypatch, started_threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", 4)
+    shared, count = SharedParams(n=10), 10**6
+    _component_draws(derived_rng(1), Family.BINOMIAL_P, shared, Fraction(1), 10)  # warm up
+    tracemalloc.start()
+    try:
+        draws = _component_draws(derived_rng(1), Family.BINOMIAL_P, shared, Fraction(1), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert started_threads == []
+    # neither the 8 MB of draws nor a 1 MB block of uniforms
+    assert peak < 2**16
+    assert draws.size == count and np.all(draws == 10)
 
 
 def test_binomial_sampler_memory_is_bounded():
@@ -449,6 +494,24 @@ PINNED_SAMPLES += [
                  (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), SharedParams(n=10)),
      _BLOCKS_COUNT, "b11f7091c00072e7e20e0dc36c734a11dc9a2243e027cac936712c2acc89e6a5"),
 ] + [(name, spec, _BLOCKS_COUNT, digest) for name, spec, _, digest in _EMPTY_COMPONENT_SPECS]
+#: binomial components at p = 0 or p = 1, computed with the sampler that drew
+#: and compared n uniforms a row for them as for any other p
+_ENDPOINTS = _binomial_spec(10, (0, 3, 8))
+PINNED_SAMPLES += [
+    ("binomial-endpoints", _ENDPOINTS, 20_001,
+     "0bedda48524bb986a914dc67a4e70be1f0c6b6876a198c2f7efb723bdf72b372"),
+    ("binomial-endpoints-blocks", _ENDPOINTS, _BLOCKS_COUNT,
+     "ff9266f1a49c5aa22e003d4921c07c279ef03195dc6a975d7c6f898d99b5850d"),
+    # the algebraic benchmark's binomial route: p = 1/2 and p = 1
+    ("binomial-half-one-blocks",
+     uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2), (1, 2),
+                  SharedParams(n=10)), _BLOCKS_COUNT,
+     "d322cd2709fc451ed30cf906bfb34edc1ae1f03875bc43a415b2bf7bbc217310"),
+    ("binomial-n1000-zero-one",
+     uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4), (0, 4),
+                  SharedParams(n=1000)), 1_001,
+     "64b135da6a489245f332c2da695755241c428f69a081ba83dac1e789cc2c2b46"),
+]
 
 
 @pytest.mark.parametrize("spec, count, digest", [case[1:] for case in PINNED_SAMPLES],

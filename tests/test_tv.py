@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from mixlearn import (
     DomainError,
     Family,
     FamilyMismatchError,
+    MixtureSpec,
     ParameterGrid,
     SharedParams,
     candidate_family,
@@ -113,6 +115,48 @@ def test_density_crossings_frozen_values():
     assert density_crossings(
         uniform_spec(chi2, (3,)), uniform_spec(chi2, (5,))
     ) == [0.049999999627470974, 3.0000000003725265]
+
+
+def test_density_crossings_of_three_component_pairs_are_frozen():
+    # values of the scan that held a - b beside both densities
+    gaussian = ParameterGrid(Family.GAUSSIAN, 1, 0, 40)
+    shared = SharedParams(sigma=0.75)
+    chi2 = ParameterGrid(Family.CHI_SQUARED, 1, 1, 30)
+    assert density_crossings(
+        MixtureSpec(gaussian, (0, 3, 40), (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)),
+                    shared),
+        uniform_spec(gaussian, (1, 2, 39), shared),
+    ) == [0.16378462538406496, 2.3771810281305017, 21.00633539244876, 39.55926528990683]
+    assert density_crossings(uniform_spec(chi2, (1, 7, 30)), uniform_spec(chi2, (2, 5, 29))) == [
+        0.5333398450165983, 5.8839830171316745, 17.45869597829889, 28.436729756370454]
+
+
+@pytest.mark.parametrize("lo, hi, step, size, digest", [
+    (-41.3, 9958.7, 0.01, 1_000_001,
+     "b640b8e545eb6f268126435b8b677dd2a74f91e2d0aa9904df64f6e7b9313626"),
+    (0.0, 1.0, 0.1, 12, "e3ae774db2828b42f48edc15cdc235ac49af6619fe5ed4e1f4c24843c028b125"),
+    (1e-300, 733.1, 0.05, 14_664,
+     "815052a336c02a3e30206213e574610247725842c29923789654f7e95c55bc4a"),
+])
+def test_scan_grid_is_frozen(lo, hi, step, size, digest):
+    # grids of the running sum over a separate array of steps
+    xs = tv._scan_grid(lo, hi, step)
+    assert xs.size == size and xs[-1] == hi
+    assert hashlib.sha256(xs.tobytes()).hexdigest() == digest
+
+
+def test_scan_grid_holds_about_nine_bytes_a_point():
+    tv._scan_grid(0.0, 1.0, 0.1)  # warm up
+    tracemalloc.start()
+    try:
+        xs = tv._scan_grid(-41.3, 9958.7, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grid's float64 points and one boolean a point for the end search;
+    # a copy of the steps beside the grid would hold 16 bytes a point
+    assert xs.size == 1_000_001
+    assert peak < 9 * xs.size + 2**12
 
 
 def test_discrete_truncation_certifies_tail():
