@@ -176,17 +176,11 @@ def char_fn(spec: MixtureSpec, t):
     return complex(total) if total.ndim == 0 else total
 
 
-def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
-    """Exact rational raw moment E X^ell of the mixture (binomial-p,
-    geometric-u and Poisson)."""
-    if ell < 0:
-        raise ContractError("moment order must be nonnegative")
-    if spec.family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U, Family.POISSON):
-        # geometric-p's moment_polynomial gives the pmf, not a moment
-        raise ContractError(
-            f"exact moments unsupported for family {spec.family.value}"
-        )
-    coeffs = moment_polynomial(spec.family, spec.shared, ell).coefficients
+def _horner_exact(spec: MixtureSpec, ell: int) -> Fraction:
+    """Sum of w * p(v) over the components (w, v), p the integer polynomial
+    moment_polynomial(family, shared, ell): E X^ell, or Pr(X = ell) on the
+    geometric p-grid."""
+    coeffs = moment_polynomial(spec.family, spec.shared, ell)
     degree = len(coeffs) - 1
     total = Fraction(0)
     for w, v in spec.components():
@@ -200,15 +194,26 @@ def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
     return total
 
 
+def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
+    """Exact rational raw moment E X^ell of the mixture (binomial-p,
+    geometric-u and Poisson)."""
+    if ell < 0:
+        raise ContractError("moment order must be nonnegative")
+    if spec.family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U, Family.POISSON):
+        # geometric-p's moment_polynomial gives the pmf, not a moment
+        raise ContractError(
+            f"exact moments unsupported for family {spec.family.value}"
+        )
+    return _horner_exact(spec, ell)
+
+
 def mixture_pmf_exact(spec: MixtureSpec, x: int) -> Fraction:
     """Exact rational pmf for the geometric p-grid (used by the pmf learner)."""
     if spec.family is not Family.GEOMETRIC_P:
         raise ContractError("exact pmf is provided for geometric-p only")
     if x < 0:
         raise DomainError("discrete support is nonnegative")
-    return sum(
-        (w * (1 - v) ** x * v for w, v in spec.components()), Fraction(0)
-    )
+    return _horner_exact(spec, x)
 
 
 def mgf_a2x(family: Family, shared, value: Fraction, a: float) -> float:

@@ -30,18 +30,11 @@ from .moments import (
     moment_lattice_spacing,
     round_to_lattice,
 )
-from .powersums import moments_to_power_sums, pmf_to_power_sums, reconstruct_multiset
+from .powersums import (_ceil_sqrt_ratio, moments_to_power_sums, pmf_to_power_sums,
+                        reconstruct_multiset)
 from . import sampling
 from .sampling import SampleDataset, sample
 from .scheffe import candidate_family, mde_select, precompute_mde
-
-
-def _ceil_sqrt_ratio(num: int, den: int) -> int:
-    """Smallest integer T with T^2 >= num / den (exact)."""
-    T = math.isqrt(num // den)
-    while T * T * den < num:
-        T += 1
-    return T
 
 
 def moments_order_binomial(eps: Fraction, k: int) -> int:

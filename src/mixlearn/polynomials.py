@@ -1,69 +1,31 @@
-"""Integer-coefficient moment polynomials and the combinatorial tables
-(Stirling numbers, falling factorials) they are built from.
+"""Moment polynomials as integer coefficient tuples, entry d multiplying
+y**d, and the Stirling numbers they are built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import List, Tuple
 
 from .errors import DegeneracyError, ContractError
 from .grids import Family
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
-    """Dense integer polynomial, ``coefficients[d]`` multiplying x**d."""
-
-    coefficients: Tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if coeffs == (0,):
-            coeffs = ()
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coefficients[-1] if self.coefficients else 0
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def compose_affine(self, a, b) -> List[Fraction]:
-        """Coefficients (in y) of p(a + b*y), as exact rationals."""
-        a, b = Fraction(a), Fraction(b)
-        out = [Fraction(0)] * (len(self.coefficients) or 1)
-        for c in reversed(self.coefficients):
-            # out <- out * (a + b y) + c
-            nxt = [Fraction(0)] * len(out)
-            for j, v in enumerate(out):
-                nxt[j] += a * v
-                if j + 1 < len(out):
-                    nxt[j + 1] += b * v
-            nxt[0] += c
-            out = nxt
-        return out
-
-
-def falling_factorial(n: int, j: int) -> int:
-    """n * (n-1) * ... * (n-j+1)."""
-    out = 1
-    for i in range(j):
-        out *= n - i
+def compose_affine(coefficients: Tuple[int, ...], a, b) -> List[Fraction]:
+    """Coefficients (in y) of p(a + b*y), as exact rationals."""
+    a, b = Fraction(a), Fraction(b)
+    out = [Fraction(0)] * (len(coefficients) or 1)
+    for c in reversed(coefficients):
+        # out <- out * (a + b y) + c
+        nxt = [Fraction(0)] * len(out)
+        for j, v in enumerate(out):
+            nxt[j] += a * v
+            if j + 1 < len(out):
+                nxt[j + 1] += b * v
+        nxt[0] += c
+        out = nxt
     return out
 
 
@@ -80,18 +42,16 @@ def stirling2_row(ell: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _geometric_pmf_poly(ell: int) -> IntegerPolynomial:
+def _geometric_pmf_poly(ell: int) -> Tuple[int, ...]:
     # Pr(X = ell) = (1-p)^ell p = sum_j C(ell,j) (-1)^j p^(j+1), degree ell+1.
-    coeffs = [0] * (ell + 2)
-    for j in range(ell + 1):
-        coeffs[j + 1] = comb(ell, j) * (-1) ** j
-    return IntegerPolynomial(tuple(coeffs))
+    return (0,) + tuple(comb(ell, j) * (-1) ** j for j in range(ell + 1))
 
 
 @lru_cache(maxsize=1024)
-def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
-    """Integer polynomial giving a raw moment (or pmf value) per family.
-    Cached: it depends on (family, shared, ell) only, and is immutable.
+def moment_polynomial(family: Family, shared, ell: int) -> Tuple[int, ...]:
+    """Integer coefficients of a raw moment (or pmf value) per family, its
+    leading coefficient nonzero.  Cached: it depends on (family, shared,
+    ell) only, and a tuple cannot be changed by a caller.
 
     Raw moments are E X^ell = sum_j S(ell, j) E[(X)_j], with the factorial
     moments E[(X)_j] = c_j y^j; the coefficients in y are S(ell, j) c_j.
@@ -104,7 +64,7 @@ def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
     if ell < 0:
         raise ContractError("moment order must be nonnegative")
     if family is Family.POISSON:
-        return IntegerPolynomial(stirling2_row(ell))
+        return stirling2_row(ell)
     if family is Family.BINOMIAL_P:
         if shared is None or shared.n is None:
             raise ContractError("binomial-p moment polynomial needs n")
@@ -114,16 +74,14 @@ def moment_polynomial(family: Family, shared, ell: int) -> IntegerPolynomial:
             raise DegeneracyError(
                 f"binomial moment of order {ell} degenerates for n={n} < {ell}"
             )
-        return IntegerPolynomial(tuple(
-            s * falling_factorial(n, j) for j, s in enumerate(stirling2_row(ell))
-        ))
+        return tuple(s * perm(n, j) for j, s in enumerate(stirling2_row(ell)))
     if family is Family.GEOMETRIC_U:
         c = [s * factorial(j) for j, s in enumerate(stirling2_row(ell))]
         # expand sum_j c[j] (u - 1)^j in u; leading coefficient ell!
-        return IntegerPolynomial(tuple(
+        return tuple(
             sum(c[j] * comb(j, i) * (-1) ** (j - i) for j in range(i, ell + 1))
             for i in range(ell + 1)
-        ))
+        )
     if family is Family.GEOMETRIC_P:
         return _geometric_pmf_poly(ell)
     raise ContractError(f"no moment polynomial for family {family.value}")

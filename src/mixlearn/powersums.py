@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .grids import Family, ParameterGrid, SharedParams
 from .moments import RESIDUAL_WARNING, round_to_lattice
-from .polynomials import moment_polynomial
+from .polynomials import compose_affine, moment_polynomial
 
 @dataclass(frozen=True)
 class PowerSumVector:
@@ -67,7 +66,7 @@ def _solve_coefficients(
     sum_j D_j alpha^j / den, with integer D_j.  They depend on nothing
     sampled, so every solve over the same grid shares them; tuples, so the
     cached value cannot be changed by a caller."""
-    d = moment_polynomial(family, shared, ell).compose_affine(offset, step)
+    d = compose_affine(moment_polynomial(family, shared, ell), offset, step)
     den = math.lcm(*(c.denominator for c in d))
     return den, tuple(c.numerator * (den // c.denominator) for c in d)
 
@@ -288,6 +287,14 @@ def reconstruct_multiset(
     return solutions[0]
 
 
+def _ceil_sqrt_ratio(num: int, den: int) -> int:
+    """Smallest integer T with T^2 >= num / den (exact)."""
+    T = math.isqrt(num // den)
+    while T * T * den < num:
+        T += 1
+    return T
+
+
 def log_of_theorem_bound(n: int, q: int = 2, mode: str = "sets") -> int:
     """The identifiability order promised by the combinatorial theorems:
     ceil(4 sqrt(n)) for sets, ceil(2 sqrt(q n ln(q n))) for bounded
@@ -295,8 +302,7 @@ def log_of_theorem_bound(n: int, q: int = 2, mode: str = "sets") -> int:
     if n < 1:
         raise ContractError("n must be at least 1")
     if mode == "sets":
-        s = isqrt(16 * n)
-        return s if s * s == 16 * n else s + 1
+        return _ceil_sqrt_ratio(16 * n, 1)
     if mode == "multisets":
         if q < 2:
             raise ContractError("multiset mode needs q >= 2")

@@ -90,9 +90,7 @@ def _interval_set(a: MixtureSpec, b: MixtureSpec,
     edges = [-math.inf] + crossings + [math.inf]
     ivs: List[Tuple[float, float]] = []
     for lo, hi in zip(edges, edges[1:]):
-        if math.isinf(lo) and math.isinf(hi):
-            mid = crossings[0]
-        elif math.isinf(lo):
+        if math.isinf(lo):
             # chi-squared densities live on [0, inf): probe inside the support
             mid = 0.5 * hi if a.family is Family.CHI_SQUARED else hi - 1.0
         elif math.isinf(hi):

@@ -97,6 +97,15 @@ def test_plan_samples_output(capsys):
     assert "t=518400" in out
 
 
+def test_verify_identifiability_prints_the_collision(capsys):
+    assert cli_dispatch(["verify-identifiability", "--n", "8", "--T", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "n=8\nq=2\nmode=sets\nobjects=256\nT_theorem=12\nT_minimal=3\n"
+        "collision_at_order=2 a=[0, 4, 5] b=[1, 2, 6]\n"
+        "note=multiset bound uses the natural logarithm\n"
+    )
+
+
 def test_verify_identifiability_with_csv(tmp_path, capsys):
     audit = tmp_path / "audit.csv"
     rc = cli_dispatch([

@@ -277,6 +277,22 @@ def test_exact_pmf_geometric():
     assert float(total) == pytest.approx(1.0)
 
 
+def test_exact_pmf_is_the_closed_form():
+    # the Horner path over the pmf polynomial against sum_i w_i (1 - p_i)^x p_i,
+    # p = 0 and p = 1 included
+    from itertools import combinations
+
+    for den in (2, 5, 8):
+        grid = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, den), 0, den)
+        for k in (1, 2, 3):
+            for idx in combinations(grid.indices(), k):
+                spec = uniform_spec(grid, idx)
+                for x in range(16):
+                    expected = sum((w * (1 - v) ** x * v for w, v in spec.components()),
+                                   Fraction(0))
+                    assert mixture_pmf_exact(spec, x) == expected
+
+
 @pytest.mark.parametrize("family, step, max_index, shared", [
     (Family.BINOMIAL_P, Fraction(1, 7), 7, SharedParams(n=12)),
     (Family.GEOMETRIC_U, Fraction(2, 3), 6, SharedParams()),
@@ -292,7 +308,8 @@ def test_mixture_moment_exact_matches_the_polynomial(family, step, max_index, sh
             spec = uniform_spec(grid, idx, shared)
             for ell in range(0, 13):
                 poly = moment_polynomial(family, shared, ell)
-                expected = sum((w * poly(v) for w, v in spec.components()), Fraction(0))
+                expected = sum((w * sum(c * v**d for d, c in enumerate(poly))
+                                for w, v in spec.components()), Fraction(0))
                 assert mixture_moment_exact(spec, ell) == expected
 
 

@@ -28,6 +28,7 @@ from mixlearn import (
 )
 from mixlearn import learners, sampling
 from mixlearn.learners import moments_order_binomial, moments_order_geometric_u
+from mixlearn.powersums import log_of_theorem_bound
 
 
 def gaussian_grid_from_data(data, eps, sigma):
@@ -46,6 +47,38 @@ def test_default_moment_orders():
     # ceil(4 sqrt 5) = 9
     assert moments_order_geometric_u(5, 2) == 9
     assert moments_order_geometric_u(1, 6) == 6
+
+
+def _least_square_at_least(num, den):
+    """Reference: the least T with T^2 >= num / den, counted up from 0."""
+    T = 0
+    while T * T * den < num:
+        T += 1
+    return T
+
+
+def test_order_rules_are_the_least_T_with_T_squared_at_least_16n():
+    squares = [m * m + d for m in (31, 32, 1000, 4096) for d in (-1, 0, 1)]
+    for n in list(range(1, 1100)) + squares:
+        T = _least_square_at_least(16 * n, 1)
+        assert log_of_theorem_bound(n) == T, n
+        assert moments_order_geometric_u(n, 1) == T, n
+        assert moments_order_geometric_u(n, T + 1) == T + 1, n
+    epsilons = [Fraction(e) for e in ("1", "1/2", "2/5", "1/3", "1/4", "1/8", "1/16")]
+    orders = [4, 6, 7, 7, 8, 12, 16]
+    for eps, T in zip(epsilons, orders):
+        assert T == _least_square_at_least(16 * eps.denominator, eps.numerator)
+        assert moments_order_binomial(eps, 1) == T
+        grid = ParameterGrid(Family.BINOMIAL_P, eps, 0, int(1 / eps))
+        oracle = uniform_spec(grid, (1,), SharedParams(n=16))
+        result = learn_binomial_moments(None, 16, eps, 1, oracle_spec=oracle, truth=(1,))
+        assert result.exact_match and result.diagnostics["T"] == T, eps
+    for n in (1, 4, 5, 9, 16):
+        grid = ParameterGrid(Family.GEOMETRIC_U, Fraction(1), 0, n)
+        oracle = uniform_spec(grid, (1,))
+        result = learn_geometric(None, grid, 1, "moments", oracle_spec=oracle, truth=(1,))
+        assert result.exact_match
+        assert result.diagnostics["T"] == _least_square_at_least(16 * n, 1), n
 
 
 def test_binomial_oracle_round_trip():

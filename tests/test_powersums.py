@@ -25,7 +25,7 @@ from mixlearn import (
     uniform_spec,
     verify_identifiability,
 )
-from mixlearn.polynomials import moment_polynomial
+from mixlearn.polynomials import compose_affine, moment_polynomial
 from mixlearn.powersums import (
     ENUMERATION_CAP,
     IdentifiabilityReport,
@@ -191,6 +191,14 @@ def test_theorem_bounds():
     assert log_of_theorem_bound(8, q=3, mode="multisets") == expected
 
 
+def test_identifiability_report_names_its_collision():
+    assert verify_identifiability(8, T=2).to_report() == (
+        "n=8\nq=2\nmode=sets\nobjects=256\nT_theorem=12\nT_minimal=3\n"
+        "collision_at_order=2 a=[0, 4, 5] b=[1, 2, 6]\n"
+        "note=multiset bound uses the natural logarithm\n"
+    )
+
+
 def test_verify_identifiability_trivial_case():
     report = verify_identifiability(1, mode="sets")
     assert report.T_minimal == 1
@@ -232,8 +240,8 @@ def test_solve_coefficients_are_shared_integer_compositions():
     shared = SharedParams(n=12)
     den, d = _solve_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)
     assert isinstance(d, tuple) and all(type(c) is int for c in d)
-    assert [Fraction(c, den) for c in d] == moment_polynomial(
-        Family.BINOMIAL_P, shared, 5).compose_affine(0, Fraction(1, 8))
+    assert [Fraction(c, den) for c in d] == compose_affine(
+        moment_polynomial(Family.BINOMIAL_P, shared, 5), 0, Fraction(1, 8))
     assert _solve_coefficients(Family.BINOMIAL_P, shared, 0, Fraction(1, 8), 5)[1] is d
 
 

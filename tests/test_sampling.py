@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -671,6 +672,34 @@ def test_no_sampler_thread_outlives_its_call(monkeypatch, started_threads):
     # five row blocks per component at n = 10
     sample(_binomial_spec(10), _DRAW_BLOCK, seed=2)
     assert threading.active_count() == before
+
+
+def test_a_failing_range_raises_after_every_range_has_ended(monkeypatch, started_threads):
+    # three ranges of four one-row blocks; the first thread that is not the
+    # caller's fails at its first row, the other keeps going slowly
+    monkeypatch.setattr(sampling, "_sampling_threads", 3)
+    caller, failed, lock = threading.current_thread(), [], threading.Lock()
+
+    def kernel(u, out):
+        if threading.current_thread() is not caller:
+            with lock:
+                if not failed:
+                    failed.append(RuntimeError("kernel failed"))
+                    raise failed[0]
+            time.sleep(0.01)
+        out[:] = 1
+
+    out = np.zeros(12, dtype=np.int64)
+    rng, ref = derived_rng(3), derived_rng(3)
+    with pytest.raises(RuntimeError) as raised:
+        sampling._draw_rows(rng, 1, _DRAW_BLOCK // 4, kernel, out)
+    assert raised.value is failed[0]
+    assert len(started_threads) == 2
+    assert [t for t in started_threads if t.is_alive()] == []
+    # the caller's range and the slow range are whole; only the failed
+    # range's four rows are unwritten
+    assert out[:4].all() and out.sum() == 8
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("threads", [1, 5])

@@ -26,7 +26,7 @@ from mixlearn import (
     set_probability,
     uniform_spec,
 )
-from mixlearn import tv
+from mixlearn import scheffe, tv
 from mixlearn.distributions import cdf
 from mixlearn.grids import DISCRETE_FAMILIES
 from mixlearn.scheffe import MDE_TABLE_CAP, TIE_ULPS, _interval_set, _set_x_max
@@ -118,6 +118,18 @@ def test_identical_candidates_full_support_set():
     a = _gaussian((0, 3))
     s = scheffe_set(a, a)
     assert s.intervals == ((-math.inf, math.inf),)
+
+
+def test_interval_set_without_crossings_is_all_or_nothing(monkeypatch):
+    # no crossing found: the sign at one probe, the mean of a's values,
+    # decides for the whole line
+    monkeypatch.setattr(scheffe, "density_crossings", lambda a, b: [])
+    peaked, spread = _gaussian((1,)), _gaussian((0, 2))
+    assert pmf_or_pdf(peaked, 1.0) > pmf_or_pdf(spread, 1.0)
+    assert _interval_set(peaked, spread, (0, 1)) == ScheffeSet(
+        kind="intervals", intervals=((-math.inf, math.inf),), provenance=(0, 1))
+    assert _interval_set(spread, peaked, (1, 0)) == ScheffeSet(
+        kind="intervals", intervals=(), provenance=(1, 0))
 
 
 def test_set_probability_discrete_and_complement():
