@@ -25,7 +25,26 @@ def _as_count(x: Real) -> int:
     return int(xf)
 
 
+def _comb_mass(top: int, x: int, a_pow, b_pow) -> float:
+    """C(top, x)·a**i·b**j for ``a_pow`` = (a, log a, i), ``b_pow`` = (b, log b, j):
+    a direct product where C(top, x) fits a float and both powers are normal
+    floats, else exp(lgamma terms + i·log a + j·log b), in that order."""
+    (a, log_a, i), (b, log_b, j) = a_pow, b_pow
+    a_i, b_j = a**i, b**j
+    try:
+        c = float(comb(top, x))
+    except OverflowError:  # C(top, x) exceeds the float range (top of about 1030 and up)
+        c = math.inf
+    if c < math.inf and min(a_i, b_j) >= sys.float_info.min:
+        return c * a_i * b_j
+    # log space: a power below the normal range would lose the mass
+    return math.exp(math.lgamma(top + 1) - math.lgamma(x + 1) - math.lgamma(top - x + 1)
+                    + i * log_a + j * log_b)
+
+
 def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
+    """One component's mass at x.  The binomial C(n, x)·p**x·(1-p)**(n-x) and
+    the negative binomial C(x+r-1, x)·(1-p)**r·p**x are both ``_comb_mass``."""
     if family is Family.POISSON:
         lam = float(value)
         if lam == 0.0:
@@ -39,36 +58,14 @@ def _component_pmf(family: Family, shared, value: Fraction, x: int) -> float:
             return 1.0 if x == 0 else 0.0
         if p == 1.0:
             return 1.0 if x == n else 0.0
-        p_x, q_nx = p**x, (1.0 - p) ** (n - x)
-        try:
-            c = float(comb(n, x))
-        except OverflowError:  # C(n, x) exceeds the float range (n of about 1030 and up)
-            c = math.inf
-        if c < math.inf and min(p_x, q_nx) >= sys.float_info.min:
-            return c * p_x * q_nx
-        # log space: a power below the normal range would lose the mass
-        return math.exp(
-            math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-            + x * math.log(p) + (n - x) * math.log1p(-p)
-        )
+        return _comb_mass(n, x, (p, math.log(p), x), (1.0 - p, math.log1p(-p), n - x))
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
-        # p = 0 is a degenerate grid point contributing zero mass everywhere.
-        if p == 0.0:
-            return 0.0
+        # p = 0 is a degenerate grid point: (1 - 0)**x * 0 is 0.0 at every x.
         return (1.0 - p) ** x * p
     if family is Family.NEG_BINOMIAL:
         r, p = int(value), float(shared.p)
-        q_r, p_x = (1.0 - p) ** r, p**x
-        try:
-            c = float(comb(x + r - 1, x))
-        except OverflowError:  # C(x + r - 1, x) exceeds the float range
-            c = math.inf
-        if c < math.inf and min(q_r, p_x) >= sys.float_info.min:
-            return c * q_r * p_x
-        # log space: a power below the normal range would lose the mass
-        return math.exp(math.lgamma(x + r) - math.lgamma(x + 1) - math.lgamma(r)
-                        + r * math.log1p(-p) + x * math.log(p))
+        return _comb_mass(x + r - 1, x, (1.0 - p, math.log1p(-p), r), (p, math.log(p), x))
     raise ContractError(f"{family.value} is not a discrete family")
 
 

@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, ContractError, DomainError
@@ -57,12 +58,10 @@ class ParameterGrid:
 
     ``step`` is the probability step for the p-grids, the mean spacing for
     Gaussians, and must be 1 for the integer-indexed families.  Index alpha
-    maps to:
-
-    * binomial-p / geometric-p: ``p = alpha * step``
-    * geometric-u:              ``u = 1/p = 1 + alpha * step``
-    * gaussian:                 ``mu = alpha * step``
-    * poisson / chi-squared / neg-binomial: the index itself
+    maps to ``origin + alpha * step``, the origin being 1 for geometric-u
+    (``u = 1/p = 1 + alpha * step``) and 0 for every other family: p for
+    binomial-p and geometric-p, the mean for gaussian, and the index itself
+    for poisson, chi-squared and neg-binomial (step 1).
     """
 
     family: Family
@@ -101,13 +100,7 @@ class ParameterGrid:
         """Exact parameter value at a grid index."""
         if not self.min_index <= index <= self.max_index:
             raise DomainError(f"index {index} outside grid range")
-        if self.family in (Family.BINOMIAL_P, Family.GEOMETRIC_P):
-            return index * self.step
-        if self.family is Family.GEOMETRIC_U:
-            return 1 + index * self.step
-        if self.family is Family.GAUSSIAN:
-            return index * self.step
-        return Fraction(index)
+        return (1 if self.family is Family.GEOMETRIC_U else 0) + index * self.step
 
     def indices(self) -> range:
         return range(self.min_index, self.max_index + 1)
@@ -121,8 +114,9 @@ class ParameterGrid:
 class SharedParams:
     """Family-shared parameters known to the learner.
 
-    ``n`` is the binomial trial count, ``sigma`` the Gaussian standard
-    deviation, ``p`` the negative-binomial success-count parameter.
+    ``n`` is the binomial trial count (an integer, kept as ``int``),
+    ``sigma`` the Gaussian standard deviation, ``p`` the negative-binomial
+    success-count parameter.
     """
 
     n: Optional[int] = None
@@ -136,8 +130,12 @@ class SharedParams:
                 raise DomainError("shared p must lie in (0,1)")
         if self.sigma is not None and not 0 < self.sigma < math.inf:
             raise DomainError("sigma must be positive and finite")
-        if self.n is not None and self.n < 1:
-            raise DomainError("trial count must be at least 1")
+        if self.n is not None:
+            if not isinstance(self.n, Integral):
+                raise DomainError(f"trial count must be an integer, got {self.n!r}")
+            object.__setattr__(self, "n", int(self.n))
+            if self.n < 1:
+                raise DomainError("trial count must be at least 1")
 
 
 def _require_shared(family: Family, shared: SharedParams) -> None:

@@ -170,7 +170,7 @@ def plan_samples(
         bound = lambda ell, gamma, delta: _ceil_fraction(
             gamma**-2 * shared.n ** (2 * ell) / delta)
     elif family is Family.GEOMETRIC_U and scheme == "chebyshev":
-        p_min = Fraction(1, 1) / (1 + grid.max_index * eps)
+        p_min = 1 / grid.value(grid.max_index)
         first, offset = 1, 0
         bound = lambda ell, gamma, delta: _ceil_fraction(
             2 * gamma**-2 * (4 * ell / p_min) ** (2 * ell + 1) / delta)

@@ -207,19 +207,17 @@ def _roots_with_multiplicity(
     return sorted(roots)
 
 
-def _brute_force_multisets(
-    m: PowerSumVector, domain: range, limit: int = 2
-) -> List[Tuple[int, ...]]:
+def _brute_force_multisets(m: PowerSumVector, domain: range) -> List[Tuple[int, ...]]:
     """All multisets over the domain matching every given power sum, found by
     depth-first search over nonincreasing element choices with budget pruning.
-    Stops after ``limit`` solutions."""
+    Stops after two solutions, which already make the answer ambiguous."""
     k, target = m.k, m.values
     T = m.T
     found: List[Tuple[int, ...]] = []
     lo = domain.start
 
     def search(prefix: List[int], budget: List[int], vmax: int):
-        if len(found) >= limit:
+        if len(found) >= 2:
             return
         remaining = k - len(prefix)
         if remaining == 0:
@@ -240,7 +238,7 @@ def _brute_force_multisets(
                 new_budget.append(b)
             if ok:
                 search(prefix + [v], new_budget, v)
-            if len(found) >= limit:
+            if len(found) >= 2:
                 return
 
     search([], list(target), domain.stop - 1)
@@ -275,7 +273,7 @@ def reconstruct_multiset(
         raise ReconstructionError(
             f"no multiset over {domain} matches power sums {m.values}"
         )
-    solutions = _brute_force_multisets(m, domain, limit=2)
+    solutions = _brute_force_multisets(m, domain)
     if not solutions:
         raise ReconstructionError(
             f"no multiset over {domain} matches power sums {m.values}"
@@ -319,7 +317,6 @@ class IdentifiabilityReport:
     T_minimal: int
     collision: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], int]]
     object_count: int
-    log_base_note: str = "multiset bound uses the natural logarithm"
 
     def to_report(self) -> str:
         lines = [
@@ -337,7 +334,7 @@ class IdentifiabilityReport:
             )
         else:
             lines.append("collision=none")
-        lines.append(f"note={self.log_base_note}")
+        lines.append("note=multiset bound uses the natural logarithm")
         return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,7 @@
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mixlearn import (
@@ -116,6 +117,18 @@ def test_shared_param_validation():
         SharedParams(p=Fraction(3, 2))
     with pytest.raises(DomainError):
         SharedParams(n=0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, Fraction(2), "2"])
+def test_shared_trial_count_must_be_an_integer(n):
+    # a float count once reached math.perm and the sampler as a TypeError
+    with pytest.raises(DomainError, match="trial count must be an integer"):
+        SharedParams(n=n)
+
+
+def test_shared_trial_count_is_kept_as_int():
+    shared = SharedParams(n=np.int64(10))
+    assert type(shared.n) is int and shared == SharedParams(n=10)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])

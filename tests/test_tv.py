@@ -131,6 +131,23 @@ def test_density_crossings_of_three_component_pairs_are_frozen():
         0.5333398450165983, 5.8839830171316745, 17.45869597829889, 28.436729756370454]
 
 
+@pytest.mark.parametrize("sigma, hi, first, second", [
+    (0.5, 5, (0, 5), (1, 5)),  # one real crossing at 0.5, then a - b == 0 where they agree
+    (1.0, 2_000, (0,), (2_000,)),  # both densities underflow between the means
+    (1.0, 41_900, (0,), (41_900,)),  # 4,191,707 scan points, just under SCAN_GRID_CAP
+])
+def test_a_run_of_exact_zeros_is_bisected_once_at_each_end(sigma, hi, first, second):
+    # every cell of such a run was once bisected: 792, 192,285 and about
+    # 4.2 million crossings
+    grid = ParameterGrid(Family.GAUSSIAN, 1, 0, hi)
+    shared = SharedParams(sigma=sigma)
+    crossings = density_crossings(uniform_spec(grid, first, shared),
+                                  uniform_spec(grid, second, shared))
+    assert len(crossings) == 2
+    if sigma == 0.5:
+        assert crossings[0] == pytest.approx(0.5, abs=1e-9)
+
+
 @pytest.mark.parametrize("lo, hi, step, size, digest", [
     (-41.3, 9958.7, 0.01, 1_000_001,
      "b640b8e545eb6f268126435b8b677dd2a74f91e2d0aa9904df64f6e7b9313626"),
