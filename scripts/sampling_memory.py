@@ -1,10 +1,14 @@
-"""Measure the memory and wall time of ``sample`` at 10^6 draws per family.
+"""Measure the memory and wall time of ``sample`` at 10^6 draws per family,
+and check the memory against its bound.
 
 For one k = 2 uniform mixture of each family (two for Poisson, at low and
 at higher rates), a fresh process records the tracemalloc peak of one
 ``sample(spec, 10**6, seed=1)`` call, after one untraced call of the same
-size (lazy imports and thread pools), and the wall times of seven further
-calls with tracing off.  Two source trees, such as a
+size (lazy imports and thread pools), the bound ``sample_bytes(spec,
+10**6)`` that ``sample`` is refused by, and the wall times of seven further
+calls with tracing off.  The script exits with status 1, after writing its
+file, when a traced peak exceeds its tree's bound by more than ``SLACK``
+bytes of fixed-size scratch.  Two source trees, such as a
 parent commit and a change, can be compared side by side:
 
     git archive <parent> src | tar -x -C /tmp/parent
@@ -32,6 +36,9 @@ from fractions import Fraction
 COUNT = 10**6
 REPEATS = 7
 ROUNDS = 3
+#: fixed-size scratch a draw may hold beyond ``sample_bytes`` (as in
+#: tests/test_sampling.py)
+SLACK = 3 * 2**20
 
 
 #: (family, grid step, lowest index, highest index, indices, shared params)
@@ -43,6 +50,8 @@ SPECS = [
     ("binomial-p", Fraction(1, 2), 0, 2, (1, 2), {"n": 10}),
     # p = 1/4 and 3/4: no endpoint, so every row counts its n uniforms
     ("binomial-p", Fraction(1, 4), 0, 4, (1, 3), {"n": 10}),
+    # p = 0 and p = 1: every component is constant, so no draws are held
+    ("binomial-p", Fraction(1, 8), 0, 8, (0, 8), {"n": 10}),
     ("geometric-p", Fraction(1, 4), 1, 4, (1, 3), {}),
     ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
     ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),
@@ -52,9 +61,10 @@ SPECS = [
 
 
 def measure(family: int) -> dict:
-    """Traced peak (bytes) and wall times (s) of the ``family``-th spec in
-    this process."""
+    """Traced peak and bound (bytes) and wall times (s) of the
+    ``family``-th spec in this process."""
     from mixlearn import Family, ParameterGrid, SharedParams, sample, uniform_spec
+    from mixlearn.sampling import sample_bytes
 
     name, step, lo, hi, indices, shared = SPECS[family]
     spec = uniform_spec(ParameterGrid(Family(name), step, lo, hi), indices, SharedParams(**shared))
@@ -70,7 +80,7 @@ def measure(family: int) -> dict:
         t0 = time.perf_counter()
         sample(spec, COUNT, seed=1)
         walls.append(time.perf_counter() - t0)
-    return {"peak": peak, "walls": walls}
+    return {"peak": peak, "bound": sample_bytes(spec, COUNT), "walls": walls}
 
 
 def main() -> None:
@@ -90,26 +100,34 @@ def main() -> None:
                     env=env, check=True, capture_output=True, text=True).stdout
                 runs[label, i].append(json.loads(out))
     results = {}
+    over = []
     for label in trees:
         results[label] = []
         for i, (name, _, _, _, indices, _) in enumerate(SPECS):
             rounds = runs[label, i]
+            peak, bound = max(m["peak"] for m in rounds), rounds[0]["bound"]
+            if peak > bound + SLACK:
+                over.append(f"{label} {name} {tuple(indices)}: traced peak {peak} bytes "
+                            f"exceeds sample_bytes {bound} + {SLACK}")
             row = {
                 "family": name, "indices": list(indices), "count": COUNT,
-                "traced_peak_mb": round(max(m["peak"] for m in rounds) / 2**20, 2),
+                "traced_peak_mb": round(peak / 2**20, 2),
+                "sample_bytes_mb": round(bound / 2**20, 2),
                 "median_wall_s": round(statistics.median(
                     w for m in rounds for w in m["walls"]), 5),
                 "round_median_wall_s": [round(statistics.median(m["walls"]), 5)
                                         for m in rounds],
             }
             results[label].append(row)
-            print(f"{label} {row['family']} {tuple(indices)}: peak {row['traced_peak_mb']} MB, "
+            print(f"{label} {row['family']} {tuple(indices)}: peak {row['traced_peak_mb']} MB "
+                  f"of {row['sample_bytes_mb']} MB bound, "
                   f"median {row['median_wall_s'] * 1e3:.2f} ms", flush=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({
-            "measure": f"tracemalloc peak of one sample(spec, {COUNT}) call and the median "
-                       f"wall time of {REPEATS} calls in each of {ROUNDS} rounds, per k = 2 "
-                       "uniform mixture, the trees taking turns family by family",
+            "measure": f"tracemalloc peak of one sample(spec, {COUNT}) call beside its "
+                       f"sample_bytes bound, and the median wall time of {REPEATS} calls in "
+                       f"each of {ROUNDS} rounds, per k = 2 uniform mixture, the trees taking "
+                       "turns family by family",
             "python": platform.python_version(),
             "numpy": __import__("numpy").__version__,
             "machine": platform.machine(),
@@ -117,6 +135,8 @@ def main() -> None:
             "trees": results,
         }, fh, indent=1)
         fh.write("\n")
+    if over:
+        sys.exit("\n".join(over))
 
 
 if __name__ == "__main__":

@@ -71,6 +71,7 @@ from .tv import (
 )
 from .scheffe import (
     MdeResult,
+    MdeTables,
     ScheffeSet,
     candidate_family,
     empirical_measure,

@@ -36,7 +36,7 @@ from .learners import (  # perfbench/tracer.py wraps the learn_* names of this m
 )
 from .littlewood import LittlewoodPoly, littlewood_arc_max
 from .moments import plan_samples
-from .powersums import _signature_rows, verify_identifiability
+from .powersums import _signature_csv, verify_identifiability
 from .sampling import sample
 from .tv import separation_survey, tv_exact, tv_lower_bound_charfn
 
@@ -209,9 +209,9 @@ def _cmd_verify_identifiability(args) -> int:
     sys.stdout.write(report.to_report())
     if args.csv:
         T = args.T if args.T is not None else report.T_theorem
-        rows = ((" ".join(map(str, obj)), " ".join(map(str, signature)))
-                for obj, signature in _signature_rows(args.n, args.q, args.mode, T))
-        write_csv(args.csv, ["object", "signature"], rows)
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            fh.write("object,signature\r\n")
+            fh.writelines(_signature_csv(args.n, args.q, args.mode, T))
     return 0
 
 

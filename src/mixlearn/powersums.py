@@ -369,16 +369,18 @@ def _digit_multiplicities(n: int, q: int, mode: str) -> Tuple[int, ...]:
     return mults
 
 
-def _signature_rows(
-    n: int, q: int, mode: str, T: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Every object of a sweep with its ``power_sum_signature`` up to order
-    T, read from ``_positional_power_sums``: multisets in position order
-    (the q-ary enumeration order), subsets by size, each size in
-    ``combinations`` order (a stable sort of the positions by size).  An
-    object is its high digits' values (0..n//2-1) then its low digits'
-    values (the others), each read from a table over every setting of
-    those digits, as the power sums are."""
+def _signature_csv(n: int, q: int, mode: str, T: int) -> Iterator[str]:
+    """The (object, signature) CSV lines of a sweep, one string per block of
+    4,096 objects: each object with its ``power_sum_signature`` up to order
+    T, read from ``_positional_power_sums``, each value space-separated and
+    every line ended by ``\\r\\n``, as ``csv.writer`` writes fields that
+    need no quoting.  Multisets come in position order (the q-ary
+    enumeration order), subsets by size, each size in ``combinations``
+    order (a stable sort of the positions by size).  An object's text is
+    its high digits' text (values 0..n//2-1) then its low digits' text (the
+    others), each read from a table over every setting of those digits, as
+    the power sums are, with a space before each value that the line
+    drops."""
     mults = _digit_multiplicities(n, q, mode)
     base = len(mults)
     positions = np.arange(base ** n)
@@ -386,20 +388,21 @@ def _signature_rows(
         sizes = _positional_power_sums(n, mults, 0, positions)
         positions = positions[np.argsort(sizes, kind="stable")]
 
-    def table(values: range) -> List[Tuple[int, ...]]:
+    def table(values: range) -> List[str]:
         # the first value's digit is the most significant
-        objects: List[Tuple[int, ...]] = [()]
+        texts = [""]
         for v in values:
-            objects = [obj + (v,) * m for obj in objects for m in mults]
-        return objects
+            texts = [text + f" {v}" * m for text in texts for m in mults]
+        return texts
 
     highs, lows = table(range(n // 2)), table(range(n // 2, n))
     for lo in range(0, len(positions), 2**12):
         block = positions[lo:lo + 2**12]
         high, low = np.divmod(block, base ** (n - n // 2))
-        sums = (_positional_power_sums(n, mults, ell, block).tolist() for ell in range(T + 1))
-        for h, l, *signature in zip(high.tolist(), low.tolist(), *sums):
-            yield highs[h] + lows[l], tuple(signature)
+        sums = [map(str, _positional_power_sums(n, mults, ell, block).tolist())
+                for ell in range(T + 1)]
+        yield "".join(f"{(highs[h] + lows[l])[1:]},{' '.join(signature)}\r\n"
+                      for h, l, *signature in zip(high.tolist(), low.tolist(), *sums))
 
 
 def _object_at(n: int, mults: Tuple[int, ...], position: int) -> Tuple[int, ...]:

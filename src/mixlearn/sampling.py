@@ -46,13 +46,13 @@ row, and the generator ends advanced past all the runs, so neither the
 values nor its later state depend on the block size or the number of
 threads.
 
-Memory is bounded per draw: ``sample_bytes`` counts the output and one
-component's draws (8 bytes a draw each), the component choice (the
-smallest unsigned type that holds k - 1) and, for rows wider than a block,
-one row of uniforms; the choice uniforms come in blocks of
-``_CHOICE_BLOCK``, and each component's draws are freed before the next
-component draws.  A call that would hold more than ``SAMPLE_CAP``
-bytes is refused before anything is allocated.
+Memory is bounded per draw: ``sample_bytes`` counts the output and, unless
+every component is constant, one component's draws (8 bytes a draw each),
+the component choice (the smallest unsigned type that holds k - 1) and,
+for rows wider than a block, one row of uniforms; the choice uniforms come
+in blocks of ``_CHOICE_BLOCK``, and each component's draws are freed
+before the next component draws.  A call that would hold more than
+``SAMPLE_CAP`` bytes is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -139,11 +139,9 @@ def _normals(u: np.ndarray) -> np.ndarray:
 
 def _geometrics(runs: int, p: float):
     """The layout of a sum of ``runs`` geometrics with pmf (1-p)^x p, each
-    floor(log(1 - u) / log(1 - p)); at p = 1.0 every one is 0 and reads no run."""
+    floor(log(1 - u) / log(1 - p)), for p < 1.0 (see ``_constant_layout``)."""
     if p <= 0.0:
         raise DomainError("cannot sample a geometric with p = 0")
-    if p >= 1.0:
-        return 0, 1, 0
     scale = math.log1p(-p)
 
     def kernel(u, out):
@@ -163,8 +161,6 @@ def _poisson(lam: float):
     table; every draw equals the binary search of the table."""
     if lam > _POISSON_RATE_CAP:
         raise ContractError(f"poisson inversion capped at rate {_POISSON_RATE_CAP}")
-    if lam == 0.0:
-        return 0, 1, 0
     cutoff = int(lam + 40.0 * math.sqrt(lam) + 50.0)
     xs = np.arange(cutoff + 1)
     logpmf = -lam + xs * math.log(lam) - np.cumsum(
@@ -250,18 +246,41 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
     return out
 
 
+def _constant_layout(family: Family, shared, value):
+    """The (runs, width, value) of a component whose rows are all one value,
+    else None, read from the family and value alone (no Poisson table): a
+    binomial at p <= 0.0 or p >= 1.0, and 0 over 0 runs for a rate-0
+    Poisson, a geometric whose p is 1.0 in floating point, and so a
+    negative binomial whose 1 - p rounds to 1.0."""
+    if family is Family.POISSON:
+        zero = float(value) == 0.0
+    elif family is Family.BINOMIAL_P:
+        n, p = shared.n, float(value)
+        return (1, n, n if p >= 1.0 else 0) if p <= 0.0 or p >= 1.0 else None
+    elif family is Family.GEOMETRIC_P:
+        zero = float(value) >= 1.0
+    elif family is Family.GEOMETRIC_U:
+        zero = 1.0 / float(value) >= 1.0
+    elif family is Family.NEG_BINOMIAL:
+        zero = 1.0 - float(shared.p) >= 1.0
+    else:
+        zero = False
+    return (0, 1, 0) if zero else None
+
+
 def _layout(family: Family, shared, value):
     """The (runs, width, kernel) of one component's draws, as ``_draw_rows``
     takes them; in place of a kernel, the one value of every row where
-    there is one."""
+    there is one (``_constant_layout``)."""
+    if family is Family.BINOMIAL_P and shared.n > _BINOMIAL_TRIAL_CAP:
+        raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
+    constant = _constant_layout(family, shared, value)
+    if constant is not None:
+        return constant
     if family is Family.POISSON:
         return _poisson(float(value))
     if family is Family.BINOMIAL_P:
         n, p = shared.n, float(value)
-        if n > _BINOMIAL_TRIAL_CAP:
-            raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
-        if p <= 0.0 or p >= 1.0:
-            return 1, n, n if p >= 1.0 else 0
         return 1, n, lambda u, out: np.einsum("ij->i", u[0] < p, dtype=np.int64, out=out)
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         return _geometrics(1, float(value) if family is Family.GEOMETRIC_P
@@ -307,10 +326,13 @@ def _component_draws(
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
     scratch aside: the output, the component choice, the draws of one
-    component if it took every row, and, where a component's row of runs x
-    width uniforms is wider than ``_DRAW_BLOCK``, one such row: the same on
-    every host, as a draw's threads never hold more than a block or a row."""
-    held = count * (16 + np.min_scalar_type(spec.k - 1).itemsize)
+    component if it took every row (none where every component is
+    constant, by ``_constant_layout``), and, where a component's row of
+    runs x width uniforms is wider than ``_DRAW_BLOCK``, one such row: the
+    same on every host, as a draw's threads never hold more than a block or
+    a row."""
+    drawn = any(_constant_layout(spec.family, spec.shared, v) is None for v in spec.values())
+    held = count * (8 + 8 * drawn + np.min_scalar_type(spec.k - 1).itemsize)
     # runs x width read from the family and value, not from ``_layout``,
     # which would build a Poisson table: 2d for chi-squared, r for negative
     # binomial; every other family's row is at most _BINOMIAL_TRIAL_CAP wide

@@ -31,7 +31,12 @@ from .tv import density_crossings, discrete_truncation, mass_table
 #: Most entries C * C(C-1)/2 of ``precompute_mde``'s candidate x set table,
 #: so C <= 322.  Measured on Poisson k = 2 candidates (Python 3.11, 2 vCPU):
 #: C = 210 takes 1.8 s with a 90 MB traced peak, C = 300 4.5 s with 249 MB
-#: (a 103 MB table).
+#: (a 103 MB table).  The record also holds the (x_max+1) x sets int64
+#: membership matrix, (x_max+1) * sets * 8 bytes (23 MiB at C = 300): the
+#: one the set probabilities are computed with, which each selection once
+#: rebuilt for itself.  Held beside the score table a selection allocates,
+#: it lifts a selection's traced peak at C = 300 from 236 to 260 MB, under
+#: the 261 MB of ``precompute_mde``, which already held both.
 MDE_TABLE_CAP = 2**24
 
 
@@ -136,27 +141,58 @@ def _membership(sets: Sequence[ScheffeSet]) -> np.ndarray:
     return member
 
 
-def _table_set_probabilities(masses: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
-    """masses @ membership, each entry summed left to right in point order
-    (not by ``sum``, which compensates from Python 3.12 on): adding the
-    masses of the points outside a set adds exact zeros, which leaves every
-    partial sum unchanged."""
-    member = _membership(sets)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
+class MdeTables:
+    """Scheffe sets with what every selection over them reads, built once by
+    ``precompute_mde`` and shared read-only (``run_experiment``'s trial
+    threads share one): ``probs``, the candidates x sets set-probability
+    table, and, to count a dataset's hits, the (x_max+1) x sets int64
+    membership matrix ``member`` for discrete sets, or for interval sets
+    every interval's ends ``los`` and ``his``, flattened in set order, with
+    the index ``owner`` of the set each belongs to."""
+
+    sets: Tuple[ScheffeSet, ...]
+    probs: np.ndarray
+    member: Optional[np.ndarray] = None
+    los: Optional[np.ndarray] = None
+    his: Optional[np.ndarray] = None
+    owner: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "sets", tuple(self.sets))
+        for name in ("probs", "member", "los", "his", "owner"):
+            arr = getattr(self, name)
+            if arr is not None:
+                view = np.asarray(arr).view()  # the caller's array stays writable
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
+
+
+def _table_set_probabilities(masses: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """masses @ member, each entry summed left to right in point order (not
+    by ``sum``, which compensates from Python 3.12 on): adding the masses of
+    the points outside a set adds exact zeros, which leaves every partial
+    sum unchanged."""
     total = np.zeros((masses.shape[0], member.shape[1]))
     for x in range(member.shape[0]):
         total += masses[:, x, None] * member[x]
     return total
 
 
-def _set_probabilities(specs: Sequence[MixtureSpec], sets: Sequence[ScheffeSet]) -> np.ndarray:
-    """len(specs) x len(sets) table of set probabilities: one mass table
-    times the membership matrix for discrete sets, sums of CDF differences
-    in interval order for continuous ones."""
+def _set_probabilities(specs: Sequence[MixtureSpec], sets: Sequence[ScheffeSet],
+                       member: Optional[np.ndarray],
+                       masses: Optional[np.ndarray] = None) -> np.ndarray:
+    """len(specs) x len(sets) table of set probabilities: the specs' mass
+    table (``masses`` where given) times the membership matrix ``member``
+    for discrete sets, sums of CDF differences in interval order for
+    continuous ones."""
     discrete = specs[0].family in DISCRETE_FAMILIES
-    if any((s.kind == "discrete") != discrete for s in sets):
+    if (sets[0].kind == "discrete") != discrete:
         raise FamilyMismatchError(f"{specs[0].family.value} spec on Scheffe sets of another kind")
     if discrete:
-        return _table_set_probabilities(mass_table(specs, max(s.x_max for s in sets)), sets)
+        if masses is None:
+            masses = mass_table(specs, member.shape[0] - 1)
+        return _table_set_probabilities(masses, member)
     table = np.zeros((len(specs), len(sets)))
     for row, spec in zip(table, specs):
         for col, s in enumerate(sets):
@@ -169,47 +205,54 @@ def _set_probabilities(specs: Sequence[MixtureSpec], sets: Sequence[ScheffeSet])
     return table
 
 
-def _discrete_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
-    member = _membership(sets)
-    # numpy 1.x bincount refuses uint64; the kept values fit in intp
-    kept = values[values < member.shape[0]].astype(np.intp, copy=False)
-    hist = np.bincount(kept, minlength=member.shape[0])
-    return hist @ member
+def _tables(sets: Sequence[ScheffeSet], specs: Sequence[MixtureSpec] = (),
+            masses: Optional[np.ndarray] = None) -> MdeTables:
+    """The record of ``sets``, all of one kind, with the set probabilities
+    of ``specs`` (read off their mass table ``masses`` where given)."""
+    if sets[0].kind == "discrete":
+        member, ends = _membership(sets), {}
+    else:
+        member, ends = None, {
+            "los": np.array([lo for s in sets for lo, _ in s.intervals]),
+            "his": np.array([hi for s in sets for _, hi in s.intervals]),
+            "owner": np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets]),
+        }
+    probs = (_set_probabilities(specs, sets, member, masses) if specs
+             else np.zeros((0, len(sets))))
+    return MdeTables(sets, probs, member, **ends)
 
 
-def _interval_hits(values: np.ndarray, sets: Sequence[ScheffeSet]) -> np.ndarray:
-    xs = np.sort(values)
-    los = np.array([lo for s in sets for lo, _ in s.intervals])
-    his = np.array([hi for s in sets for _, hi in s.intervals])
-    counts = (np.searchsorted(xs, his, side="right")
-              - np.searchsorted(xs, los, side="left"))
-    hits = np.zeros(len(sets), dtype=np.int64)
-    np.add.at(hits, np.repeat(np.arange(len(sets)), [len(s.intervals) for s in sets]),
-              counts)
-    return hits
-
-
-def _hits(data: SampleDataset, sets: Sequence[ScheffeSet]) -> np.ndarray:
+def _hits(data: SampleDataset, tables: MdeTables) -> np.ndarray:
     """Samples in each set, from one pass over the data: a histogram times
     the membership matrix for discrete sets, one sort and one searchsorted
     over all interval ends for continuous ones."""
     if len(data) == 0:
         raise DomainError("empty dataset")
-    discrete = data.family in DISCRETE_FAMILIES
-    if any((s.kind == "discrete") != discrete for s in sets):
+    member = tables.member
+    if (data.family in DISCRETE_FAMILIES) != (member is not None):
         raise DomainError(f"{data.family.value} dataset on Scheffe sets of another kind")
-    return (_discrete_hits if discrete else _interval_hits)(data.values, sets)
+    if member is not None:
+        # every value past x_max lands in one last bin, which is dropped;
+        # numpy 1.x bincount refuses uint64, and the capped values fit in intp
+        capped = np.minimum(data.values, member.shape[0]).astype(np.intp, copy=False)
+        return np.bincount(capped, minlength=member.shape[0] + 1)[:-1] @ member
+    xs = np.sort(data.values)
+    counts = (np.searchsorted(xs, tables.his, side="right")
+              - np.searchsorted(xs, tables.los, side="left"))
+    hits = np.zeros(len(tables.sets), dtype=np.int64)
+    np.add.at(hits, tables.owner, counts)
+    return hits
 
 
 def empirical_measure(data: SampleDataset, s: ScheffeSet) -> Fraction:
     """Exact fraction of the samples falling in the set."""
-    return Fraction(int(_hits(data, [s])[0]), len(data))
+    return Fraction(int(_hits(data, _tables([s]))[0]), len(data))
 
 
 def set_probability(spec: MixtureSpec, s: ScheffeSet) -> float:
     """Candidate probability of the set: the pmf summed in point order, or a
     sum of CDF differences in interval order."""
-    return float(_set_probabilities([spec], [s])[0, 0])
+    return float(_tables([s], [spec]).probs[0, 0])
 
 
 #: MDE tie rule: every candidate scoring within TIE_ULPS units in the last
@@ -233,16 +276,16 @@ class MdeResult:
     sets: Tuple[ScheffeSet, ...] = ()
 
 
-def precompute_mde(
-    candidates: Sequence[MixtureSpec],
-) -> Tuple[List[ScheffeSet], np.ndarray]:
-    """Scheffe sets for every unordered candidate pair and the candidate
-    set-probability matrix, computed once and shared across repeated
-    selections (read-only).
+def precompute_mde(candidates: Sequence[MixtureSpec]) -> MdeTables:
+    """Scheffe sets for every unordered candidate pair, with the candidate
+    set-probability table and the membership matrix or interval ends that
+    count a dataset's hits, computed once and shared read-only across
+    repeated selections.
 
     Complements carry the same discrepancy, so unordered pairs suffice.  For
     discrete families each candidate's masses at 0..x_max are evaluated once
-    into one ``mass_table``; the sets and set probabilities are read off it.
+    into one ``mass_table``; the sets are read off it, and the set
+    probabilities are it times the membership matrix the record keeps.
     """
     if len(candidates) < 2:
         raise ContractError("MDE needs at least 2 candidates")
@@ -259,41 +302,47 @@ def precompute_mde(
         )
     pairs = list(combinations(range(count), 2))
     if fam not in DISCRETE_FAMILIES:
-        sets = [_interval_set(candidates[i], candidates[j], (i, j)) for i, j in pairs]
-        return sets, _set_probabilities(candidates, sets)
+        return _tables([_interval_set(candidates[i], candidates[j], (i, j)) for i, j in pairs],
+                       candidates)
     masses = mass_table(candidates, max(_set_x_max(c) for c in candidates))
-    sets = _discrete_sets(masses, pairs)
-    return sets, _table_set_probabilities(masses, sets)
+    return _tables(_discrete_sets(masses, pairs), candidates, masses)
 
 
 def mde_select(
     candidates: Sequence[MixtureSpec],
     data: Optional[SampleDataset] = None,
     truth: Optional[MixtureSpec] = None,
-    precomputed: Optional[Tuple[List[ScheffeSet], np.ndarray]] = None,
+    precomputed: Optional[MdeTables] = None,
 ) -> MdeResult:
     """Minimum distance estimator: pick the candidate minimizing the largest
     discrepancy to the empirical measure over all pairwise Scheffe sets.
 
-    Oracle mode (``truth`` given instead of ``data``) scores against the true
-    set probabilities, one ``_set_probabilities`` row, isolating the
-    selection rule from sampling noise.  Sampled mode counts every set's
-    samples in one ``_hits`` pass.
+    ``precomputed`` is the candidates' ``precompute_mde`` record, built here
+    when not given.  Oracle mode (``truth`` given instead of ``data``)
+    scores against the true set probabilities, one truth row times the
+    record's membership matrix (or CDF differences over its intervals),
+    isolating the selection rule from sampling noise.  Sampled mode counts
+    every set's samples in one ``_hits`` pass over the record.
     """
     if (data is None) == (truth is None):
         raise ContractError("provide exactly one of data or truth")
-    sets, probs = precomputed if precomputed is not None else precompute_mde(candidates)
+    tables = precompute_mde(candidates) if precomputed is None else precomputed
+    if not isinstance(tables, MdeTables):
+        raise ContractError("precomputed must be the MdeTables record precompute_mde returns")
+    if tables.probs.shape[0] != len(candidates):
+        raise ContractError(f"precomputed tables for {tables.probs.shape[0]} candidates, "
+                            f"not {len(candidates)}")
     fam = candidates[0].family
     if truth is not None:
         if truth.family is not fam or truth.shared != candidates[0].shared:
             raise FamilyMismatchError("truth must share the candidates' family/parameters")
-        emp = _set_probabilities([truth], sets)[0]
+        emp = _set_probabilities([truth], tables.sets, tables.member)[0]
     else:
         if data.family is not fam:
             raise DomainError(f"dataset family {data.family.value} disagrees with the "
                               f"candidates' family {fam.value}")
-        emp = _hits(data, sets) / len(data)
-    gaps = probs - emp[None, :]  # the one table-sized temporary
+        emp = _hits(data, tables) / len(data)
+    gaps = tables.probs - emp[None, :]  # the one table-sized temporary
     scores = np.abs(gaps, out=gaps).max(axis=1)
     tol = TIE_ULPS * np.finfo(np.float64).eps
     tied = np.flatnonzero(scores <= scores.min() + tol).tolist()
@@ -303,5 +352,5 @@ def mde_select(
         delta=float(scores[winner]),
         scores=tuple(float(s) for s in scores),
         tie_broken=len(tied) > 1,
-        sets=tuple(sets),
+        sets=tables.sets,
     )

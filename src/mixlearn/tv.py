@@ -255,7 +255,8 @@ def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
     cell where a - b < 0 or a - b == 0 flips is bisected with the same density
     down to 1e-9 (times sigma for Gaussians).  A run of exact zeros, where
     both densities underflow or agree to the last bit, is bisected once at
-    each end.
+    each end, except that one zero scan point between strictly positive and
+    strictly negative neighbours is itself the crossing, reported once.
     """
     _check_pair(a, b)
     step = (a.shared.sigma / 100.0) if a.family is Family.GAUSSIAN else 0.05
@@ -271,11 +272,15 @@ def density_crossings(a: MixtureSpec, b: MixtureSpec) -> List[float]:
     d = pdf_array(a, xs)
     d -= pdf_array(b, xs)
     neg, zero = d < 0.0, d == 0.0
-    cells = np.flatnonzero((neg[:-1] != neg[1:]) | (zero[:-1] != zero[1:]))
-    return [
-        _bisect(diff, float(xs[i]), float(xs[i + 1]), 1e-9 * scale)
-        for i in cells.tolist()
-    ]
+    flips = (neg[:-1] != neg[1:]) | (zero[:-1] != zero[1:])
+    # both cells beside such a zero point flip, and it stands for them
+    points = np.flatnonzero(zero[1:-1] & ~zero[:-2] & ~zero[2:] & (neg[:-2] != neg[2:])) + 1
+    flips[points - 1] = flips[points] = False
+    return sorted(
+        [float(xs[i]) for i in points.tolist()]
+        + [_bisect(diff, float(xs[i]), float(xs[i + 1]), 1e-9 * scale)
+           for i in np.flatnonzero(flips).tolist()]
+    )
 
 
 def _tv_continuous(a: MixtureSpec, b: MixtureSpec, tol: float) -> TvInterval:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -34,7 +36,7 @@ from mixlearn.powersums import (
     _object_at,
     _positional_power_sums,
     _refine,
-    _signature_rows,
+    _signature_csv,
     _solve_coefficients,
 )
 import numpy as np
@@ -320,8 +322,12 @@ def test_verify_identifiability_matches_the_dict_reference(n, q, mode):
 @pytest.mark.parametrize("n, q, mode", IDENTIFIABILITY_CASES + [
     (0, 2, "sets"), (14, 2, "sets"), (7, 3, "multisets"), (5, 4, "multisets")])
 def test_objects_in_order_follow_the_reference_order(n, q, mode):
-    assert list(_signature_rows(n, q, mode, 3)) == [
-        (obj, power_sum_signature(obj, 3)) for obj in _reference_objects(n, q, mode)]
+    # the audit CSV's lines, as csv.writer writes the reference rows
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        (" ".join(map(str, obj)), " ".join(map(str, power_sum_signature(obj, 3))))
+        for obj in _reference_objects(n, q, mode))
+    assert "".join(_signature_csv(n, q, mode, 3)) == buf.getvalue()
 
 
 def test_positional_power_sums_past_the_int64_limit():

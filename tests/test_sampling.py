@@ -326,6 +326,42 @@ def test_a_constant_component_starts_no_thread_and_holds_no_rows(monkeypatch, st
     assert draws.size == count and np.all(draws == 10)
 
 
+@pytest.mark.parametrize("family, shared, value", [
+    *[case[:3] for case in _LAYOUTS + _CONSTANT_LAYOUTS],
+    (Family.POISSON, SharedParams(), 0),
+    (Family.GEOMETRIC_P, SharedParams(), 1),
+    (Family.GEOMETRIC_U, SharedParams(), 1),
+    (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 10**20)), 3),
+])
+def test_the_constant_predicate_is_the_layouts(family, shared, value):
+    # sample_bytes reads _constant_layout; the draw must agree with it
+    constant = sampling._constant_layout(family, shared, value)
+    layout = _layout(family, shared, value)
+    assert constant == (None if callable(layout[2]) else layout)
+
+
+def test_an_all_constant_mixture_is_charged_no_component_draws():
+    # binomial p = 0 and p = 1: the output and one byte of choice a draw
+    spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 8), 0, 8), (0, 8),
+                        SharedParams(n=10))
+    count = 10**6
+    assert sampling.sample_bytes(spec, count) == 9 * count
+    sample(spec, count, seed=1)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        sample(spec, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampling.sample_bytes(spec, count) + 3 * 2**20
+    # 3e8 draws hold 2.7e9 bytes, within the cap (at 17 bytes a draw they
+    # were refused from 252,645,136 draws); the check allocates nothing
+    sampling._check_count(spec, 3 * 10**8)
+    # one component with a kernel brings back its draws
+    mixed = uniform_spec(spec.grid, (0, 4), SharedParams(n=10))
+    assert sampling.sample_bytes(mixed, count) == 17 * count
+
+
 def test_binomial_sampler_memory_is_bounded():
     spec = _spec(Family.BINOMIAL_P, (1, 2), n=200)
     sample(spec, 10, seed=1)  # warm up lazy imports outside the trace

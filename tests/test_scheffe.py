@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -192,8 +193,50 @@ def test_mde_sampled_mode_with_precompute():
     r1 = mde_select(cands, data=data, precomputed=pre)
     r2 = mde_select(cands, data=data)
     assert cands[r1.winner].indices == (1, 4)
-    assert r1.winner == r2.winner
-    assert r1.delta == pytest.approx(r2.delta)
+    assert r1 == r2
+
+
+def test_selections_read_the_precomputed_membership_matrix(monkeypatch):
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    builds = []
+    membership = scheffe._membership
+    monkeypatch.setattr(scheffe, "_membership",
+                        lambda sets: builds.append(len(sets)) or membership(sets))
+    pre = precompute_mde(cands)
+    assert builds == [len(pre.sets)]  # the one build, which probs also read
+    for seed in range(10):
+        mde_select(cands, data=sample(_poisson((1, 4)), 500, seed=seed), precomputed=pre)
+    for truth in cands[:10]:
+        mde_select(cands, truth=truth, precomputed=pre)
+    assert builds == [len(pre.sets)]
+
+
+@pytest.mark.parametrize("grid, shared", [
+    (ParameterGrid(Family.POISSON, 1, 0, 4), SharedParams()),
+    (ParameterGrid(Family.GAUSSIAN, 1, 0, 3), SharedParams(sigma=1.0)),
+])
+def test_precomputed_tables_are_read_only(grid, shared):
+    pre = precompute_mde(candidate_family(grid, 2, shared))
+    arrays = [a for a in (pre.probs, pre.member, pre.los, pre.his, pre.owner)
+              if a is not None]
+    assert len(arrays) == (2 if grid.family is Family.POISSON else 4)
+    assert isinstance(pre.sets, tuple)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def test_precomputed_must_be_the_record_of_the_candidates():
+    cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
+    pre = precompute_mde(cands)
+    data = sample(_poisson((1, 4)), 500, seed=1)
+    with pytest.raises(ContractError, match="MdeTables"):
+        mde_select(cands, data=data, precomputed=(pre.sets, pre.probs))
+    with pytest.raises(ContractError, match="MdeTables"):
+        mde_select(cands, truth=cands[0], precomputed=(list(pre.sets), np.array(pre.probs)))
+    with pytest.raises(ContractError, match="for 15 candidates"):
+        mde_select(cands[:-1], data=data, precomputed=pre)
 
 
 def test_mde_requires_exactly_one_of_data_and_truth():
@@ -243,16 +286,17 @@ def _reference_mde(candidates, data, x_max=None):
 
 def test_table_mde_matches_per_set_reference_discrete():
     cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
-    sets, probs = precompute_mde(cands)
+    pre = precompute_mde(cands)
+    sets, probs = pre.sets, pre.probs
     x_max = sets[0].x_max
     # rate-30 component: most samples lie above x_max and fall in no set
     data = sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 30), (2, 30)),
                   5000, seed=3)
     assert data.values.max() > x_max
     ref_sets, ref_probs, ref = _reference_mde(cands, data, x_max)
-    assert sets == ref_sets
+    assert sets == tuple(ref_sets)
     assert np.array_equal(probs, ref_probs)
-    assert mde_select(cands, data=data, precomputed=(sets, probs)) == ref
+    assert mde_select(cands, data=data, precomputed=pre) == ref
     assert mde_select(cands, data=data) == ref
 
 
@@ -261,21 +305,21 @@ def test_table_mde_matches_per_set_reference_continuous():
     shared = SharedParams(sigma=1.0)
     cands = candidate_family(grid, 2, shared)
     data = sample(uniform_spec(grid, (0, 3), shared), 20_000, seed=8)
-    sets, probs = precompute_mde(cands)
+    pre = precompute_mde(cands)
     ref_sets, ref_probs, ref = _reference_mde(cands, data)
-    assert sets == ref_sets
-    assert np.array_equal(probs, ref_probs)
-    assert mde_select(cands, data=data, precomputed=(sets, probs)) == ref
+    assert pre.sets == tuple(ref_sets)
+    assert np.array_equal(pre.probs, ref_probs)
+    assert mde_select(cands, data=data, precomputed=pre) == ref
 
 
 def test_table_mde_accepts_unsigned_discrete_data():
     cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
-    sets, probs = precompute_mde(cands)
+    pre = precompute_mde(cands)
     data = sample(_poisson((1, 4)), 2000, seed=5)
     unsigned = SampleDataset(Family.POISSON, data.values.astype(np.uint64))
     assert unsigned.values.dtype == np.uint64
-    assert (mde_select(cands, data=unsigned, precomputed=(sets, probs))
-            == mde_select(cands, data=data, precomputed=(sets, probs)))
+    assert (mde_select(cands, data=unsigned, precomputed=pre)
+            == mde_select(cands, data=data, precomputed=pre))
 
 
 ORACLE_FAMILIES = {
@@ -291,14 +335,15 @@ ORACLE_FAMILIES = {
 def test_oracle_mde_matches_per_set_reference(family):
     grid, shared = ORACLE_FAMILIES[family]
     cands = candidate_family(grid, 2, shared)
-    sets, probs = precompute_mde(cands)
+    pre = precompute_mde(cands)
+    sets, probs = pre.sets, pre.probs
     for i, j in [(0, 1), (2, len(cands) - 1)]:
         assert (scheffe_set(cands[i], cands[j], provenance=(i, j))
                 == _reference_scheffe_set(cands[i], cands[j], provenance=(i, j)))
     for truth in cands:
         emp = np.array([_reference_set_probability(truth, s) for s in sets])
         scores = np.abs(probs - emp[None, :]).max(axis=1)
-        result = mde_select(cands, truth=truth, precomputed=(sets, probs))
+        result = mde_select(cands, truth=truth, precomputed=pre)
         assert repr(result.scores) == repr(tuple(float(x) for x in scores))
         assert cands[result.winner] == truth and result.delta == 0.0
         for s in sets[:10]:
@@ -307,7 +352,7 @@ def test_oracle_mde_matches_per_set_reference(family):
 
 def test_empirical_measure_matches_reference_on_unsigned_and_large_values():
     cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
-    sets, _ = precompute_mde(cands)
+    sets = precompute_mde(cands).sets
     # rate-30 component: most samples lie above x_max
     data = sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 30), (2, 30)),
                   3000, seed=11)
@@ -388,20 +433,20 @@ def test_discrete_sets_are_bounded(monkeypatch):
 
 def test_mde_scores_one_ulp_apart_tie_by_index_order():
     cands = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 5), 2)
-    sets, _ = precompute_mde(cands)
+    pre = precompute_mde(cands)
     # every sample lies above x_max, so every empirical set measure is 0 and
     # each candidate's score is the largest entry of its probability row
     data = SampleDataset(Family.POISSON, np.array([1000, 1000]))
-    probs = np.full((len(cands), len(sets)), 0.5)
+    probs = np.full((len(cands), len(pre.sets)), 0.5)
     probs[7] = 0.25                         # candidate (1, 4)
     probs[2] = np.nextafter(0.25, 1.0)      # candidate (0, 3): one ulp more
-    result = mde_select(cands, data=data, precomputed=(sets, probs))
+    result = mde_select(cands, data=data, precomputed=replace(pre, probs=probs))
     assert cands[result.winner].indices == (0, 3)
     assert result.tie_broken
     assert result.delta == result.scores[result.winner] == np.nextafter(0.25, 1.0)
     # beyond the tolerance the lower score wins outright
     probs[2] = 0.25 + 2 * TIE_ULPS * np.finfo(float).eps
-    result = mde_select(cands, data=data, precomputed=(sets, probs))
+    result = mde_select(cands, data=data, precomputed=replace(pre, probs=probs))
     assert cands[result.winner].indices == (1, 4)
     assert not result.tie_broken
     assert result.delta == 0.25
@@ -410,8 +455,9 @@ def test_mde_scores_one_ulp_apart_tie_by_index_order():
 def test_chi_squared_precompute_probes_inside_the_support():
     grid = ParameterGrid(Family.CHI_SQUARED, 1, 2, 6)
     candidates = candidate_family(grid, 2)
-    sets, probs = precompute_mde(candidates)
-    assert len(sets) == 45 and probs.shape == (10, 45)
+    pre = precompute_mde(candidates)
+    sets = pre.sets
+    assert len(sets) == 45 and pre.probs.shape == (10, 45)
     # some first crossing lies below 1, where the old probe c1 - 1 left [0, inf)
     assert min(s.intervals[0][1] for s in sets if s.intervals) < 1.0
     for s in sets:
@@ -427,13 +473,13 @@ def test_chi_squared_precompute_probes_inside_the_support():
 def test_binomial_scheffe_sets_stop_at_trial_count():
     grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
     candidates = candidate_family(grid, 2, SharedParams(n=10))
-    sets, probs = precompute_mde(candidates)
-    assert all(s.x_max == 10 for s in sets)
+    pre = precompute_mde(candidates)
+    assert all(s.x_max == 10 for s in pre.sets)
     pair = scheffe_set(candidates[0], candidates[1], provenance=(0, 1))
-    assert pair == sets[0]
-    assert np.array_equal(probs[:, 0], [set_probability(c, pair) for c in candidates])
+    assert pair == pre.sets[0]
+    assert np.array_equal(pre.probs[:, 0], [set_probability(c, pair) for c in candidates])
     spec = uniform_spec(grid, (1, 3), SharedParams(n=10))
-    result = mde_select(candidates, data=sample(spec, 20_000, seed=4), precomputed=(sets, probs))
+    result = mde_select(candidates, data=sample(spec, 20_000, seed=4), precomputed=pre)
     assert candidates[result.winner].indices == (1, 3)
 
 

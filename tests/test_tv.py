@@ -148,6 +148,18 @@ def test_a_run_of_exact_zeros_is_bisected_once_at_each_end(sigma, hi, first, sec
         assert crossings[0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_a_zero_scan_point_between_opposite_signs_is_one_crossing():
+    # f2 = f4 exactly at x = 2, a scan point: both cells beside it once
+    # bisected to 1.9999999996 and 2.0000000004, and in the other order to
+    # 1.9999999996 and 2.0499999996, a cell end where a - b does not change sign
+    chi2 = ParameterGrid(Family.CHI_SQUARED, 1, 1, 6)
+    a, b = uniform_spec(chi2, (2, 5, 6)), uniform_spec(chi2, (4, 5, 6))
+    for first, second in ((a, b), (b, a)):
+        crossings = density_crossings(first, second)
+        assert len(crossings) == 1
+        assert crossings[0] == pytest.approx(2.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("lo, hi, step, size, digest", [
     (-41.3, 9958.7, 0.01, 1_000_001,
      "b640b8e545eb6f268126435b8b677dd2a74f91e2d0aa9904df64f6e7b9313626"),
