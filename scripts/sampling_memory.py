@@ -53,6 +53,8 @@ SPECS = [
     # p = 0 and p = 1: every component is constant, so no draws are held
     ("binomial-p", Fraction(1, 8), 0, 8, (0, 8), {"n": 10}),
     ("geometric-p", Fraction(1, 4), 1, 4, (1, 3), {}),
+    # p = 1/4 and p = 1: the p = 1 component is 0 over 0 runs beside a kernel
+    ("geometric-p", Fraction(1, 4), 1, 4, (1, 4), {}),
     ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
     ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),
     ("chi-squared", 1, 1, 5, (2, 5), {}),

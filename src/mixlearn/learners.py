@@ -361,9 +361,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _route(config.method, config.family)  # before any precompute or sampling
     workers = max(1, min(sampling._sampling_threads, config.trials))
     if not config.oracle:  # the sample count too, and the draws held at once
-        sampling._check_count(config.truth_spec(), config.samples)
         workers = min(workers, sampling.SAMPLE_CAP
-                      // sampling.sample_bytes(config.truth_spec(), config.samples))
+                      // sampling._check_count(config.truth_spec(), config.samples))
     precomputed = None
     if config.method == "mde":
         precomputed = precompute_mde(_candidates(config.grid(), config.k, config.shared()))

@@ -46,19 +46,23 @@ row, and the generator ends advanced past all the runs, so neither the
 values nor its later state depend on the block size or the number of
 threads.
 
-Memory is bounded per draw: ``sample_bytes`` counts the output and, unless
-every component is constant, one component's draws (8 bytes a draw each),
-the component choice (the smallest unsigned type that holds k - 1) and,
-for rows wider than a block, one row of uniforms; the choice uniforms come
-in blocks of ``_CHOICE_BLOCK``, and each component's draws are freed
-before the next component draws.  A call that would hold more than
-``SAMPLE_CAP`` bytes is refused before anything is allocated.
+Memory is bounded per draw: ``sample_bytes`` reads every component's
+layout and counts the output, one component's draws (8 bytes a draw each)
+unless no layout has a kernel, the component choice (the smallest
+unsigned type that holds k - 1) and, where a row is wider than a block,
+one row of uniforms; the choice uniforms come in blocks of
+``_CHOICE_BLOCK``, and each component's draws are freed before the next
+component draws.  A call that would hold more than ``SAMPLE_CAP`` bytes,
+or draw a Poisson rate over ``_POISSON_RATE_CAP``, is refused before
+anything is allocated.  The layouts of the last 32 Poisson rates are
+kept, read-only (at most about 365 KiB a rate).
 """
 
 from __future__ import annotations
 
 import contextvars
 import copy
+import functools
 import math
 import os
 import threading
@@ -139,9 +143,11 @@ def _normals(u: np.ndarray) -> np.ndarray:
 
 def _geometrics(runs: int, p: float):
     """The layout of a sum of ``runs`` geometrics with pmf (1-p)^x p, each
-    floor(log(1 - u) / log(1 - p)), for p < 1.0 (see ``_constant_layout``)."""
+    floor(log(1 - u) / log(1 - p)); 0 over 0 runs where p is 1.0."""
     if p <= 0.0:
         raise DomainError("cannot sample a geometric with p = 0")
+    if p >= 1.0:
+        return 0, 1, 0
     scale = math.log1p(-p)
 
     def kernel(u, out):
@@ -155,12 +161,17 @@ def _geometrics(runs: int, p: float):
     return runs, 1, kernel
 
 
+@functools.lru_cache(maxsize=32)  # at most about 11.4 MiB, at the rate cap
 def _poisson(lam: float):
     """The layout of a Poisson(lam) draw: inverse CDF against a pmf table
     that reaches 40 standard deviations past the mean, found through a guide
-    table; every draw equals the binary search of the table."""
+    table; every draw equals the binary search of the table.  0 over 0 runs
+    at rate 0.  Built once per rate: the tables are read-only, as draws on
+    several threads share them."""
     if lam > _POISSON_RATE_CAP:
         raise ContractError(f"poisson inversion capped at rate {_POISSON_RATE_CAP}")
+    if lam == 0.0:
+        return 0, 1, 0
     cutoff = int(lam + 40.0 * math.sqrt(lam) + 50.0)
     xs = np.arange(cutoff + 1)
     logpmf = -lam + xs * math.log(lam) - np.cumsum(
@@ -176,6 +187,8 @@ def _poisson(lam: float):
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     wide = np.searchsorted(cdf, edges[1:], side="left") - lo > 1
     pad = np.append(cdf, np.inf)  # cdf[lo[b]], also where lo[b] is past every entry
+    for table in (cdf, lo, wide, pad):
+        table.setflags(write=False)
 
     def kernel(u, out):
         u = u[0, :, 0]
@@ -246,41 +259,19 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
     return out
 
 
-def _constant_layout(family: Family, shared, value):
-    """The (runs, width, value) of a component whose rows are all one value,
-    else None, read from the family and value alone (no Poisson table): a
-    binomial at p <= 0.0 or p >= 1.0, and 0 over 0 runs for a rate-0
-    Poisson, a geometric whose p is 1.0 in floating point, and so a
-    negative binomial whose 1 - p rounds to 1.0."""
-    if family is Family.POISSON:
-        zero = float(value) == 0.0
-    elif family is Family.BINOMIAL_P:
-        n, p = shared.n, float(value)
-        return (1, n, n if p >= 1.0 else 0) if p <= 0.0 or p >= 1.0 else None
-    elif family is Family.GEOMETRIC_P:
-        zero = float(value) >= 1.0
-    elif family is Family.GEOMETRIC_U:
-        zero = 1.0 / float(value) >= 1.0
-    elif family is Family.NEG_BINOMIAL:
-        zero = 1.0 - float(shared.p) >= 1.0
-    else:
-        zero = False
-    return (0, 1, 0) if zero else None
-
-
 def _layout(family: Family, shared, value):
     """The (runs, width, kernel) of one component's draws, as ``_draw_rows``
     takes them; in place of a kernel, the one value of every row where
-    there is one (``_constant_layout``)."""
-    if family is Family.BINOMIAL_P and shared.n > _BINOMIAL_TRIAL_CAP:
-        raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
-    constant = _constant_layout(family, shared, value)
-    if constant is not None:
-        return constant
+    there is one: n or 0 for a binomial at p >= 1.0 or p <= 0.0, over its
+    1 run, and 0 over 0 runs (``_poisson``, ``_geometrics``)."""
     if family is Family.POISSON:
         return _poisson(float(value))
     if family is Family.BINOMIAL_P:
         n, p = shared.n, float(value)
+        if n > _BINOMIAL_TRIAL_CAP:
+            raise ContractError(f"binomial sampling capped at n={_BINOMIAL_TRIAL_CAP}")
+        if p <= 0.0 or p >= 1.0:
+            return 1, n, n if p >= 1.0 else 0
         return 1, n, lambda u, out: np.einsum("ij->i", u[0] < p, dtype=np.int64, out=out)
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         return _geometrics(1, float(value) if family is Family.GEOMETRIC_P
@@ -325,28 +316,23 @@ def _component_draws(
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
-    scratch aside: the output, the component choice, the draws of one
-    component if it took every row (none where every component is
-    constant, by ``_constant_layout``), and, where a component's row of
-    runs x width uniforms is wider than ``_DRAW_BLOCK``, one such row: the
-    same on every host, as a draw's threads never hold more than a block or
-    a row."""
-    drawn = any(_constant_layout(spec.family, spec.shared, v) is None for v in spec.values())
-    held = count * (8 + 8 * drawn + np.min_scalar_type(spec.k - 1).itemsize)
-    # runs x width read from the family and value, not from ``_layout``,
-    # which would build a Poisson table: 2d for chi-squared, r for negative
-    # binomial; every other family's row is at most _BINOMIAL_TRIAL_CAP wide
-    runs = {Family.CHI_SQUARED: 2, Family.NEG_BINOMIAL: 1}.get(spec.family)
-    if runs is not None:
-        row = runs * int(max(spec.values()))
-        if row > _DRAW_BLOCK:
-            held += 8 * row
-    return held
+    scratch aside, read from each component's ``_layout``: the output, the
+    component choice, the draws of one component if it took every row
+    (none where no layout has a kernel), and, where the widest kernel's row
+    of runs x width uniforms is wider than ``_DRAW_BLOCK``, one such row:
+    the same on every host, as a draw's threads never hold more than a
+    block or a row."""
+    rows = [runs * width for runs, width, kernel
+            in (_layout(spec.family, spec.shared, v) for v in spec.values())
+            if callable(kernel)]
+    held = count * (8 + 8 * bool(rows) + np.min_scalar_type(spec.k - 1).itemsize)
+    row = max(rows, default=0)
+    return held + 8 * row if row > _DRAW_BLOCK else held
 
 
-def _check_count(spec: MixtureSpec, count: int) -> None:
+def _check_count(spec: MixtureSpec, count: int) -> int:
     """Refuse a count below 1, or a draw that would hold more than ``SAMPLE_CAP``
-    bytes (``sample_bytes``), before anything is allocated."""
+    bytes (``sample_bytes``), before anything is allocated; return the bytes."""
     if count < 1:
         raise DomainError("sample count must be positive")
     held = sample_bytes(spec, count)
@@ -355,6 +341,7 @@ def _check_count(spec: MixtureSpec, count: int) -> None:
             f"{count} {spec.family.value} draws would hold {held} bytes, "
             f"over the cap {SAMPLE_CAP}"
         )
+    return held
 
 
 def _choose_components(rng: np.random.Generator, cumw: np.ndarray, count: int):

@@ -30,14 +30,16 @@ from .tv import density_crossings, discrete_truncation, mass_table
 
 #: Most entries C * C(C-1)/2 of ``precompute_mde``'s candidate x set table,
 #: so C <= 322.  Measured on Poisson k = 2 candidates (Python 3.11, 2 vCPU):
-#: C = 210 takes 1.8 s with a 90 MB traced peak, C = 300 4.5 s with 249 MB
-#: (a 103 MB table).  The record also holds the (x_max+1) x sets int64
-#: membership matrix, (x_max+1) * sets * 8 bytes (23 MiB at C = 300): the
-#: one the set probabilities are computed with, which each selection once
-#: rebuilt for itself.  Held beside the score table a selection allocates,
-#: it lifts a selection's traced peak at C = 300 from 236 to 260 MB, under
-#: the 261 MB of ``precompute_mde``, which already held both.
+#: C = 210 takes 1.8 s with a 90 MB traced peak, C = 300 about 6 s with
+#: 261 MB, of which the record keeps 151 MB: the 108 MB table and the
+#: (x_max+1) x sets int64 membership matrix (23 MiB) the set probabilities
+#: are computed with.  A selection takes its |gap| table ``_SCORE_BLOCK``
+#: entries at a time, so its traced peak at C = 300, the record included,
+#: is 152 MB.
 MDE_TABLE_CAP = 2**24
+#: entries of the |gap| temporary ``mde_select`` holds at once (1 MiB of
+#: float64), unless one row holds more
+_SCORE_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -342,8 +344,16 @@ def mde_select(
             raise DomainError(f"dataset family {data.family.value} disagrees with the "
                               f"candidates' family {fam.value}")
         emp = _hits(data, tables) / len(data)
-    gaps = tables.probs - emp[None, :]  # the one table-sized temporary
-    scores = np.abs(gaps, out=gaps).max(axis=1)
+    # each row's largest |gap|, one block of rows at a time in one buffer of
+    # at most _SCORE_BLOCK entries (or one row)
+    scores = np.empty(len(candidates))
+    rows = max(1, _SCORE_BLOCK // emp.size)
+    gaps = np.empty((min(rows, scores.size), emp.size))
+    for lo in range(0, scores.size, rows):
+        hi = min(lo + rows, scores.size)
+        block = gaps[: hi - lo]
+        np.subtract(tables.probs[lo:hi], emp, out=block)
+        np.abs(block, out=block).max(axis=1, out=scores[lo:hi])
     tol = TIE_ULPS * np.finfo(np.float64).eps
     tied = np.flatnonzero(scores <= scores.min() + tol).tolist()
     winner = min(tied, key=lambda i: candidates[i].indices)

@@ -404,3 +404,19 @@ def test_run_experiment_refuses_an_unsupported_pair_before_any_work(monkeypatch)
     )
     with pytest.raises(ContractError):
         run_experiment(config)
+
+
+def test_run_experiment_refuses_a_rate_over_the_cap_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the rate check")
+
+    # 20,001 grid points would make about 2e8 candidates
+    monkeypatch.setattr(learners, "_candidates", forbidden)
+    monkeypatch.setattr(learners, "precompute_mde", forbidden)
+    monkeypatch.setattr(learners, "sample", forbidden)
+    config = ExperimentConfig(
+        family=Family.POISSON, method="mde", eps=Fraction(1), min_index=0,
+        max_index=20_000, k=2, truth=(1, 20_000), samples=1, trials=6, seed=0,
+    )
+    with pytest.raises(ContractError, match="capped at rate"):
+        run_experiment(config)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import mixlearn.sampling as sampling
 from mixlearn import (
     CapExceededError,
+    ContractError,
     DomainError,
     ExperimentConfig,
     Family,
@@ -326,18 +327,51 @@ def test_a_constant_component_starts_no_thread_and_holds_no_rows(monkeypatch, st
     assert draws.size == count and np.all(draws == 10)
 
 
-@pytest.mark.parametrize("family, shared, value", [
-    *[case[:3] for case in _LAYOUTS + _CONSTANT_LAYOUTS],
-    (Family.POISSON, SharedParams(), 0),
-    (Family.GEOMETRIC_P, SharedParams(), 1),
-    (Family.GEOMETRIC_U, SharedParams(), 1),
-    (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 10**20)), 3),
-])
-def test_the_constant_predicate_is_the_layouts(family, shared, value):
-    # sample_bytes reads _constant_layout; the draw must agree with it
-    constant = sampling._constant_layout(family, shared, value)
-    layout = _layout(family, shared, value)
-    assert constant == (None if callable(layout[2]) else layout)
+def test_each_poisson_rate_builds_its_table_once():
+    spec = _spec(Family.POISSON, (1, 4))
+    _poisson.cache_clear()
+    sampling._check_count(spec, 1000)
+    first = sample(spec, 1000, seed=3)
+    second = sample(spec, 1000, seed=3)
+    assert np.array_equal(first.values, second.values)
+    # rates 1 and 4, built by the check and read by both draws
+    assert _poisson.cache_info().misses == 2
+
+
+def test_a_cached_poisson_table_is_read_only():
+    _, _, kernel = _poisson(3.0)
+    tables = dict(zip(kernel.__code__.co_freevars,
+                      (cell.cell_contents for cell in kernel.__closure__)))
+    for name in ("cdf", "lo", "wide", "pad"):
+        with pytest.raises(ValueError):
+            tables[name][0] = 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_rate_over_the_cap_is_refused_whatever_the_seed(seed):
+    # the rate-20000 component takes no row at some seeds; the refusal is
+    # read from every component's layout before anything is drawn
+    spec = uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 20_000), (1, 20_000))
+    with pytest.raises(ContractError, match="capped at rate"):
+        sample(spec, 1, seed=seed)
+    with pytest.raises(ContractError, match="capped at rate"):
+        sampling.sample_bytes(spec, 1)
+
+
+def test_a_zero_run_component_is_charged_no_row():
+    # 1 - p rounds to 1.0: 0 over 0 runs, though r alone is wider than a block
+    spec = _one_component(Family.NEG_BINOMIAL, 2**17 + 5, p=Fraction(1, 10**20))
+    count = 10**6
+    assert sampling.sample_bytes(spec, count) == 9 * count
+    sample(spec, count, seed=1)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        values = sample(spec, count, seed=1).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sampling.sample_bytes(spec, count) + 3 * 2**20
+    assert not values.any()
 
 
 def test_an_all_constant_mixture_is_charged_no_component_draws():

@@ -483,6 +483,26 @@ def test_binomial_scheffe_sets_stop_at_trial_count():
     assert candidates[result.winner].indices == (1, 3)
 
 
+def test_a_selection_holds_its_score_table_a_block_at_a_time():
+    # C = 120 candidates and 7,140 sets: a 6.5 MiB candidates x sets table
+    candidates = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 15), 2)
+    pre = precompute_mde(candidates)
+    assert pre.probs.shape == (120, 7140)
+    data = sample(uniform_spec(candidates[0].grid, (3, 9)), 2000, seed=1)
+    expected = mde_select(candidates, data=data, precomputed=pre)
+    tracemalloc.start()
+    try:
+        result = mde_select(candidates, data=data, precomputed=pre)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+    # each score is its row's largest |gap| over the whole table
+    emp = scheffe._hits(data, pre) / len(data)
+    assert result.scores == tuple(np.abs(pre.probs - emp).max(axis=1))
+    assert result == expected
+
+
 def test_precompute_refuses_an_oversize_table_before_building_it():
     # 322 candidates fill 16,641,282 of the 2**24 entries; 323 make 16,796,969
     assert 322 * (322 * 321 // 2) <= MDE_TABLE_CAP < 323 * (323 * 322 // 2)
