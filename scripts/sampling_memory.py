@@ -1,14 +1,19 @@
 """Measure the memory and wall time of ``sample`` at 10^6 draws per family,
-and check the memory against its bound.
+and of the estimator that reads them, and check the memory against its
+bound.
 
 For one k = 2 uniform mixture of each family (two for Poisson, at low and
 at higher rates), a fresh process records the tracemalloc peak of one
 ``sample(spec, 10**6, seed=1)`` call, after one untraced call of the same
 size (lazy imports and thread pools), the bound ``sample_bytes(spec,
 10**6)`` that ``sample`` is refused by, and the wall times of seven further
-calls with tracing off.  The script exits with status 1, after writing its
-file, when a traced peak exceeds its tree's bound by more than ``SLACK``
-bytes of fixed-size scratch.  Two source trees, such as a
+calls with tracing off.  For a discrete family it also records the traced
+peak while the estimator of its algebraic route (``estimate_pmf`` for
+geometric-p, ``estimate_moments`` otherwise, both to order ``ORDER``) reads
+that call's dataset, the dataset included.  The script exits with status
+1, after writing its file, when a traced peak exceeds its bound by more
+than ``SLACK`` bytes of fixed-size scratch: ``sample_bytes`` for a draw,
+the dataset's bytes for an estimator.  Two source trees, such as a
 parent commit and a change, can be compared side by side:
 
     git archive <parent> src | tar -x -C /tmp/parent
@@ -36,9 +41,11 @@ from fractions import Fraction
 COUNT = 10**6
 REPEATS = 7
 ROUNDS = 3
-#: fixed-size scratch a draw may hold beyond ``sample_bytes`` (as in
-#: tests/test_sampling.py)
+#: fixed-size scratch a draw may hold beyond ``sample_bytes``, and an
+#: estimator beyond its dataset (as in tests/test_sampling.py)
 SLACK = 3 * 2**20
+#: the highest moment or pmf entry an estimator computes
+ORDER = 4
 
 
 #: (family, grid step, lowest index, highest index, indices, shared params)
@@ -63,18 +70,31 @@ SPECS = [
 
 
 def measure(family: int) -> dict:
-    """Traced peak and bound (bytes) and wall times (s) of the
-    ``family``-th spec in this process."""
-    from mixlearn import Family, ParameterGrid, SharedParams, sample, uniform_spec
+    """Traced peaks of the draw and of its estimator, if any, the bound and
+    the dataset's size (bytes), and wall times (s) of the ``family``-th spec
+    in this process."""
+    from mixlearn import (Family, ParameterGrid, SharedParams, estimate_moments, estimate_pmf,
+                          sample, uniform_spec)
+    from mixlearn.grids import DISCRETE_FAMILIES
     from mixlearn.sampling import sample_bytes
 
     name, step, lo, hi, indices, shared = SPECS[family]
     spec = uniform_spec(ParameterGrid(Family(name), step, lo, hi), indices, SharedParams(**shared))
-    sample(spec, COUNT, seed=1)  # lazy imports outside the trace
+    estimate = (None if spec.family not in DISCRETE_FAMILIES
+                else estimate_pmf if spec.family is Family.GEOMETRIC_P else estimate_moments)
+    data = sample(spec, COUNT, seed=1)  # lazy imports outside the trace
+    if estimate:
+        estimate(data, ORDER)
+    del data
+    estimate_peak = None
     tracemalloc.start()
     try:
-        sample(spec, COUNT, seed=1)
+        data = sample(spec, COUNT, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
+        if estimate:
+            tracemalloc.reset_peak()  # to the dataset, which the estimator reads
+            estimate(data, ORDER)
+            estimate_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     walls = []
@@ -82,7 +102,9 @@ def measure(family: int) -> dict:
         t0 = time.perf_counter()
         sample(spec, COUNT, seed=1)
         walls.append(time.perf_counter() - t0)
-    return {"peak": peak, "bound": sample_bytes(spec, COUNT), "walls": walls}
+    return {"peak": peak, "bound": sample_bytes(spec, COUNT), "walls": walls,
+            "estimator": estimate and estimate.__name__, "estimate_peak": estimate_peak,
+            "dataset": data.values.nbytes}
 
 
 def main() -> None:
@@ -120,16 +142,29 @@ def main() -> None:
                 "round_median_wall_s": [round(statistics.median(m["walls"]), 5)
                                         for m in rounds],
             }
+            estimator, dataset = rounds[0]["estimator"], rounds[0]["dataset"]
+            if estimator:
+                estimate_peak = max(m["estimate_peak"] for m in rounds)
+                if estimate_peak > dataset + SLACK:
+                    over.append(f"{label} {name} {tuple(indices)}: {estimator} traced peak "
+                                f"{estimate_peak} bytes exceeds its dataset {dataset} + {SLACK}")
+                row.update(estimator=estimator,
+                           estimator_traced_peak_mb=round(estimate_peak / 2**20, 2),
+                           dataset_mb=round(dataset / 2**20, 2))
             results[label].append(row)
             print(f"{label} {row['family']} {tuple(indices)}: peak {row['traced_peak_mb']} MB "
                   f"of {row['sample_bytes_mb']} MB bound, "
-                  f"median {row['median_wall_s'] * 1e3:.2f} ms", flush=True)
+                  f"median {row['median_wall_s'] * 1e3:.2f} ms" + (
+                      f"; {estimator} peak {row['estimator_traced_peak_mb']} MB "
+                      f"over a {row['dataset_mb']} MB dataset" if estimator else ""), flush=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({
             "measure": f"tracemalloc peak of one sample(spec, {COUNT}) call beside its "
                        f"sample_bytes bound, and the median wall time of {REPEATS} calls in "
                        f"each of {ROUNDS} rounds, per k = 2 uniform mixture, the trees taking "
-                       "turns family by family",
+                       "turns family by family; for a discrete family, the tracemalloc peak "
+                       f"of its estimator to order {ORDER} on that call's dataset, the "
+                       "dataset included",
             "python": platform.python_version(),
             "numpy": __import__("numpy").__version__,
             "machine": platform.machine(),

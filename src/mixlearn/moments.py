@@ -30,18 +30,65 @@ class EmpiricalMoments:
             raise DomainError("zeroth empirical moment must be 1")
 
 
-def _power_sums(values: np.ndarray, T: int) -> List[int]:
-    """Exact integer sums of values**ell for ell = 0..T.
+#: values ``_histogram`` caps and counts at once (512 KiB of intp)
+_HISTOGRAM_BLOCK = 2**16
 
-    One sort-based histogram (``np.unique``) buckets the data; each order's
-    sum is then taken over the distinct values with Python ints, so it is
-    exact whatever the magnitude.  ``np.bincount`` is avoided on purpose:
-    its size follows the largest value, not the number of distinct ones.
+
+def _histogram(values: np.ndarray, width: int) -> np.ndarray:
+    """How many of the nonnegative integers ``values`` equal each of
+    0..width-1, with one last bin for those of ``width`` or more: one
+    ``np.bincount`` over ``np.minimum(block, width)`` per block of
+    ``_HISTOGRAM_BLOCK`` values, so the scratch is one block and the bins,
+    not a copy of the data."""
+    counts = np.zeros(width + 1, dtype=np.intp)
+    # numpy 1.x bincount refuses uint64, and the capped values fit in intp; a
+    # cap past the dtype's range would not fit the dtype, and changes nothing
+    cap = min(width, np.iinfo(values.dtype).max)
+    capped = np.empty(min(values.size, _HISTOGRAM_BLOCK), dtype=np.intp)
+    for lo in range(0, values.size, _HISTOGRAM_BLOCK):
+        block = capped[: min(_HISTOGRAM_BLOCK, values.size - lo)]
+        np.minimum(values[lo : lo + block.size], cap, out=block, casting="unsafe")
+        counts += np.bincount(block, minlength=width + 1)
+    return counts
+
+
+def _spilled_counts(values: np.ndarray, width: int, n: int) -> Tuple[List[int], List[int]]:
+    """The distinct values of ``values`` at or above ``width``, of which
+    there are ``n``, and how many times each occurs.  They are copied out a
+    block at a time and sorted in place, so the scratch is 9 bytes a value
+    of that spill: never more than the sorted copy and mask ``np.unique``
+    would take of the whole data."""
+    spill, end = np.empty(n, dtype=values.dtype), 0
+    for lo in range(0, values.size, _HISTOGRAM_BLOCK):
+        block = values[lo : lo + _HISTOGRAM_BLOCK]
+        wide = block[block >= width]
+        spill[end : end + wide.size] = wide
+        end += wide.size
+    spill.sort()
+    first = np.empty(n, dtype=bool)  # where each distinct value starts
+    first[0] = True
+    np.not_equal(spill[1:], spill[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return spill[starts].tolist(), np.diff(starts, append=n).tolist()
+
+
+def _power_sums(values: np.ndarray, T: int) -> List[int]:
+    """Exact integer sums of values**ell for ell = 0..T, over a nonempty
+    array of nonnegative integers.
+
+    ``_histogram`` counts the values below a width of min(max + 1, 2**16,
+    size), and ``_spilled_counts`` the values at or above it, so the
+    scratch is one block, the bins and that spill.  Each order's sum is
+    then taken over the distinct values with Python ints, so it is exact
+    whatever the magnitude.
     """
-    uniq, counts = np.unique(values, return_counts=True)
-    counts = [int(c) for c in counts]
+    width = min(int(values.max()) + 1, _HISTOGRAM_BLOCK, values.size)
+    hist = _histogram(values, width)
+    bases, counts = _spilled_counts(values, width, int(hist[-1])) if hist[-1] else ([], [])
+    below = np.flatnonzero(hist[:-1])
+    bases += below.tolist()
+    counts += hist[below].tolist()
     powers = [1] * len(counts)
-    bases = [int(v) for v in uniq]
     sums = [int(values.size)]
     for _ in range(T):
         powers = [pw * v for pw, v in zip(powers, bases)]
@@ -69,11 +116,8 @@ def estimate_pmf(data: SampleDataset, T: int) -> List[Fraction]:
     if data.values.dtype.kind not in "iu":
         raise DomainError("pmf estimation needs an integer dataset")
     t = len(data)
-    # only values <= T are counted: the histogram's size follows T, not the
-    # largest value in the data
-    vals = data.values
-    counts = np.bincount(vals[vals <= T].astype(np.intp, copy=False), minlength=T + 1)
-    return [Fraction(int(counts[ell]), t) for ell in range(T + 1)]
+    # the bins follow T, not the largest value in the data
+    return [Fraction(int(c), t) for c in _histogram(data.values, T + 1)[:-1]]
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,13 @@ values nor its later state depend on the block size or the number of
 threads.
 
 Memory is bounded per draw: ``sample_bytes`` reads every component's
-layout and counts the output, one component's draws (8 bytes a draw each)
-unless no layout has a kernel, the component choice (the smallest
-unsigned type that holds k - 1) and, where a row is wider than a block,
-one row of uniforms; the choice uniforms come in blocks of
-``_CHOICE_BLOCK``, and each component's draws are freed before the next
-component draws.  A call that would hold more than ``SAMPLE_CAP`` bytes,
+layout and counts the output, the component choice (the smallest unsigned
+type that holds k - 1) and, where a row is wider than a block, one row of
+uniforms.  The choice uniforms come in blocks of ``_CHOICE_BLOCK``, whose
+rows of each component are counted as they are chosen; from those counts a
+draw's threads find where each of their blocks of rows goes, and write it
+straight into the component's rows of the output, so no component's draws
+are held beside it.  A call that would hold more than ``SAMPLE_CAP`` bytes,
 or draw a Poisson rate over ``_POISSON_RATE_CAP``, is refused before
 anything is allocated.  The layouts of the last 32 Poisson rates are
 kept, read-only (at most about 365 KiB a rate).
@@ -155,7 +156,8 @@ def _geometrics(runs: int, p: float):
         np.log1p(u, out=u)
         u /= scale
         np.floor(u, out=u)
-        for run in u:
+        out[:] = u[0, :, 0]
+        for run in u[1:]:
             out += run[:, 0].astype(np.int64)
 
     return runs, 1, kernel
@@ -204,24 +206,82 @@ def _poisson(lam: float):
     return 1, 1, kernel
 
 
-def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
-               out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the rows of one draw by the layout rule of the
-    module docstring, and advance ``rng`` past its ``runs`` runs.
+class _Placement:
+    """The rows of ``out`` whose component in ``choice`` is ``c``, in row
+    order; ``per_block`` is how many of them each choice block of
+    ``_CHOICE_BLOCK`` rows holds."""
+
+    def __init__(self, out: np.ndarray, choice: np.ndarray, c: int, per_block: np.ndarray):
+        self.out, self.choice, self.c = out, choice, c
+        self.ends = np.cumsum(per_block)  # the rows of c up to each block's end
+        self.size, self.dtype = int(self.ends[-1]), out.dtype
+
+    def writer(self, first: int, window: int):
+        """A function that writes its values into the rows from the
+        ``first``-th on, each call going on where the last one stopped.
+
+        It reads ``choice`` ``window`` rows at a time, into one mask and the
+        row indices it holds, so it holds at most 9 bytes a window row."""
+        block = int(np.searchsorted(self.ends, first, side="right"))
+        pos = block * _CHOICE_BLOCK
+        mask = np.empty(window, dtype=bool)
+
+        def write(values, n: int) -> None:
+            # values None: move past n rows without writing them
+            nonlocal pos
+            done = 0
+            while done < n:
+                rows = mask[: min(window, self.choice.size - pos)]
+                np.equal(self.choice[pos : pos + rows.size], self.c, out=rows)
+                # index and assign: a boolean mask assignment takes about
+                # four times as long
+                hits = np.flatnonzero(rows)[: n - done]
+                if values is not None:
+                    self.out[pos : pos + rows.size][hits] = values[done : done + hits.size]
+                done += hits.size
+                # where the values end inside the window, the next call
+                # starts after the last row written
+                pos += int(hits[-1]) + 1 if done == n else rows.size
+
+        write(None, first - (int(self.ends[block - 1]) if block else 0))
+        return lambda values: write(values, len(values))
+
+
+def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel, out) -> None:
+    """Fill the rows of one draw by the layout rule of the module docstring,
+    and advance ``rng`` past its ``runs`` runs: the rows of ``out`` in row
+    order, or, where ``out`` is a ``_Placement``, its rows of the output.
 
     ``kernel(u, out)`` writes the values of a block of rows into ``out``
     from their uniforms ``u``, runs x rows x ``width``; it may overwrite
-    ``u``.  The split takes at most one thread per row of a block, so its
+    ``u``.  A block holds ``_DRAW_BLOCK`` numbers: its rows' uniforms and,
+    for a ``_Placement``, their values and row indices until they are
+    placed.  The split takes at most one thread per row of a block, so its
     threads together hold one block of scratch, or one row where a row is
     wider than a block, and every thread is joined before the call returns.
     """
-    count = out.size
-    rows = max(1, _DRAW_BLOCK // (runs * width))
+    count, placed = out.size, isinstance(out, _Placement)
+    rows = max(1, _DRAW_BLOCK // (runs * width + 2 * placed))
+
+    def into(lo: int, size: int):
+        """kernel(u, start) for the blocks of rows from row ``lo`` on, at
+        most ``size`` rows each; a ``_Placement`` reads the choice in
+        windows of as many rows as a block holds, at most a choice block."""
+        if not placed:
+            return lambda u, start: kernel(u, out[start : start + u.shape[1]])
+        values, write = np.empty(size, dtype=out.dtype), out.writer(lo, min(rows, _CHOICE_BLOCK))
+
+        def run(u, start):
+            kernel(u, values[: u.shape[1]])
+            write(values[: u.shape[1]])
+
+        return run
+
     if count <= rows:
         # one block is one runs x count x width matrix, read in stream order
         # from rng itself, with no generator copies to make
-        kernel(rng.random((runs, count, width)), out)
-        return out
+        into(0, count)(rng.random((runs, count, width)), 0)
+        return
     parts = min(_draw_threads.get(_sampling_threads), -(-count // rows), rows)
     rows //= parts
 
@@ -234,11 +294,12 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
                                            .advance((j * count + lo) * width))
                        for j in range(runs)]
             u = np.empty((runs, min(rows, hi - lo), width))
+            run = into(lo, u.shape[1])
             for start in range(lo, hi, rows):
                 block = u[:, : min(rows, hi - start)]
-                for stream, run in zip(streams, block):
-                    stream.random(out=run)
-                kernel(block, out[start : start + block.shape[1]])
+                for stream, part in zip(streams, block):
+                    stream.random(out=part)
+                run(block, start)
         except BaseException as exc:  # raised again once every range has ended
             errors.append(exc)
 
@@ -256,7 +317,6 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel,
     if errors:
         raise errors[0]
     rng.bit_generator.advance(runs * count * width)
-    return out
 
 
 def _layout(family: Family, shared, value):
@@ -301,32 +361,36 @@ def _layout(family: Family, shared, value):
 
 
 def _component_draws(
-    rng: np.random.Generator, family: Family, shared, value, count: int
-) -> np.ndarray:
-    """``count`` draws of one component, by its family's layout: where every
-    row is one value, a read-only view of it, and ``rng`` advanced past the
-    runs without generating them."""
+    rng: np.random.Generator, family: Family, shared, value, count: int,
+    rows: Optional[_Placement] = None,
+) -> Optional[np.ndarray]:
+    """``count`` draws of one component, by its family's layout, written
+    into ``rows`` where given, else returned as one array.  Where every row
+    is one value, ``rng`` is advanced past the runs without generating
+    them, and the array is a read-only view of the value."""
     runs, width, kernel = _layout(family, shared, value)
     dtype = np.int64 if family in DISCRETE_FAMILIES else np.float64
-    if not callable(kernel):
+    if callable(kernel):
+        out = np.zeros(count, dtype=dtype) if rows is None else rows
+        _draw_rows(rng, runs, width, kernel, out)
+    else:
         rng.bit_generator.advance(runs * count * width)
-        return np.broadcast_to(np.array(kernel, dtype=dtype), count)
-    return _draw_rows(rng, runs, width, kernel, np.zeros(count, dtype=dtype))
+        out = np.broadcast_to(np.array(kernel, dtype=dtype), count)
+        if rows is not None:
+            rows.writer(0, _CHOICE_BLOCK)(out)
+    return out if rows is None else None
 
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
     """Bytes of arrays ``sample(spec, count, ...)`` holds at its peak, fixed
     scratch aside, read from each component's ``_layout``: the output, the
-    component choice, the draws of one component if it took every row
-    (none where no layout has a kernel), and, where the widest kernel's row
-    of runs x width uniforms is wider than ``_DRAW_BLOCK``, one such row:
-    the same on every host, as a draw's threads never hold more than a
-    block or a row."""
-    rows = [runs * width for runs, width, kernel
-            in (_layout(spec.family, spec.shared, v) for v in spec.values())
-            if callable(kernel)]
-    held = count * (8 + 8 * bool(rows) + np.min_scalar_type(spec.k - 1).itemsize)
-    row = max(rows, default=0)
+    component choice and, where the widest kernel's row of runs x width
+    uniforms is wider than ``_DRAW_BLOCK``, one such row: the same on every
+    host, as a draw's threads never hold more than a block or a row."""
+    row = max((runs * width for runs, width, kernel
+               in (_layout(spec.family, spec.shared, v) for v in spec.values())
+               if callable(kernel)), default=0)
+    held = count * (8 + np.min_scalar_type(spec.k - 1).itemsize)
     return held + 8 * row if row > _DRAW_BLOCK else held
 
 
@@ -346,7 +410,8 @@ def _check_count(spec: MixtureSpec, count: int) -> int:
 
 def _choose_components(rng: np.random.Generator, cumw: np.ndarray, count: int):
     """The component of each of ``count`` draws, as the smallest unsigned
-    type that holds k - 1, and the number of rows each component takes.
+    type that holds k - 1, and the number of rows each component takes in
+    each block of ``_CHOICE_BLOCK`` draws, k x blocks.
 
     The component of uniform u is the number of cumulative weights <= u
     (never the last, 1.0); k - 1 comparison passes cost less than a binary
@@ -356,31 +421,21 @@ def _choose_components(rng: np.random.Generator, cumw: np.ndarray, count: int):
     """
     k = cumw.size
     choice = np.zeros(count, dtype=np.min_scalar_type(k - 1))
-    # at_least[c]: rows whose component is c or later; the weights are
-    # nondecreasing, so u >= cumw[c - 1] holds exactly on those rows
-    at_least = np.zeros(k + 1, dtype=np.int64)
-    at_least[0] = count
+    # at_least[c, b]: rows of block b whose component is c or later; the
+    # weights are nondecreasing, so u >= cumw[c - 1] holds exactly on those
+    at_least = np.zeros((k + 1, -(-count // _CHOICE_BLOCK)), dtype=np.int64)
     u = np.empty(min(count, _CHOICE_BLOCK))
     hit = np.empty(u.size, dtype=bool)
-    for lo in range(0, count, _CHOICE_BLOCK):
+    for b, lo in enumerate(range(0, count, _CHOICE_BLOCK)):
         block = choice[lo : lo + _CHOICE_BLOCK]
         block_u, block_hit = u[: block.size], hit[: block.size]
         rng.random(out=block_u)
+        at_least[0, b] = block.size
         for c, w in enumerate(cumw[:-1], start=1):
             np.greater_equal(block_u, w, out=block_hit)
             block += block_hit
-            at_least[c] += np.count_nonzero(block_hit)
+            at_least[c, b] = np.count_nonzero(block_hit)
     return choice, at_least[:-1] - at_least[1:]
-
-
-def _scatter(out: np.ndarray, choice: np.ndarray, c: int, draws: np.ndarray) -> None:
-    """Write ``draws`` into the rows of ``out`` whose component is ``c``, in
-    row order, one choice block at a time."""
-    taken = 0
-    for lo in range(0, out.size, _CHOICE_BLOCK):
-        rows = np.flatnonzero(choice[lo : lo + _CHOICE_BLOCK] == c)
-        out[lo : lo + _CHOICE_BLOCK][rows] = draws[taken : taken + rows.size]
-        taken += rows.size
 
 
 def sample(
@@ -391,12 +446,10 @@ def sample(
     rng = derived_rng(seed, stream)
     cumw = np.cumsum([float(w) for w in spec.weights])
     cumw[-1] = 1.0
-    choice, rows = _choose_components(rng, cumw, count)
+    choice, per_block = _choose_components(rng, cumw, count)
     out = np.empty(count, dtype=np.int64 if spec.family in DISCRETE_FAMILIES else np.float64)
     for c, value in enumerate(spec.values()):
-        if rows[c]:
-            # the draws live only for the call, so each component's are
-            # freed before the next component draws
-            _scatter(out, choice, c,
-                     _component_draws(rng, spec.family, spec.shared, value, int(rows[c])))
+        rows = _Placement(out, choice, c, per_block[c])
+        if rows.size:
+            _component_draws(rng, spec.family, spec.shared, value, rows.size, rows)
     return SampleDataset(family=spec.family, values=out, seed=seed)

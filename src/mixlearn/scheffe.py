@@ -24,19 +24,22 @@ from .grids import (  # perfbench/tracer.py wraps mixlearn.scheffe.candidate_fam
     MixtureSpec,
     candidate_family,
 )
+from .moments import _histogram
 from .sampling import SampleDataset
 from .tv import density_crossings, discrete_truncation, mass_table
 
 
 #: Most entries C * C(C-1)/2 of ``precompute_mde``'s candidate x set table,
 #: so C <= 322.  Measured on Poisson k = 2 candidates (Python 3.11, 2 vCPU):
-#: C = 210 takes 1.8 s with a 90 MB traced peak, C = 300 about 6 s with
-#: 261 MB, of which the record keeps 151 MB: the 108 MB table and the
-#: (x_max+1) x sets int64 membership matrix (23 MiB) the set probabilities
-#: are computed with.  A selection takes its |gap| table ``_SCORE_BLOCK``
-#: entries at a time, so its traced peak at C = 300, the record included,
-#: is 152 MB.
+#: C = 300 takes about 3 s with a 155 MB traced peak, of which the record
+#: keeps 151 MB: the 108 MB table and the (x_max+1) x sets int64 membership
+#: matrix (23 MiB) the set probabilities are computed with.  A selection
+#: takes its |gap| table ``_SCORE_BLOCK`` entries at a time, so its traced
+#: peak at C = 300, the record included, is 152 MB.
 MDE_TABLE_CAP = 2**24
+#: entries of the product temporary ``_table_set_probabilities`` holds at
+#: once (2 MiB of float64), unless one row holds more
+_SET_BLOCK = 2**18
 #: entries of the |gap| temporary ``mde_select`` holds at once (1 MiB of
 #: float64), unless one row holds more
 _SCORE_BLOCK = 2**17
@@ -174,10 +177,17 @@ def _table_set_probabilities(masses: np.ndarray, member: np.ndarray) -> np.ndarr
     """masses @ member, each entry summed left to right in point order (not
     by ``sum``, which compensates from Python 3.12 on): adding the masses of
     the points outside a set adds exact zeros, which leaves every partial
-    sum unchanged."""
+    sum unchanged.  The candidates are taken ``_SET_BLOCK`` entries of the
+    table at a time (or one row), so a product temporary never spans it."""
     total = np.zeros((masses.shape[0], member.shape[1]))
-    for x in range(member.shape[0]):
-        total += masses[:, x, None] * member[x]
+    rows = max(1, _SET_BLOCK // member.shape[1])
+    product = np.empty((min(rows, total.shape[0]), member.shape[1]))
+    for lo in range(0, total.shape[0], rows):
+        block = total[lo : lo + rows]
+        terms = product[: block.shape[0]]
+        for x in range(member.shape[0]):
+            np.multiply(masses[lo : lo + rows, x, None], member[x], out=terms)
+            block += terms
     return total
 
 
@@ -234,10 +244,8 @@ def _hits(data: SampleDataset, tables: MdeTables) -> np.ndarray:
     if (data.family in DISCRETE_FAMILIES) != (member is not None):
         raise DomainError(f"{data.family.value} dataset on Scheffe sets of another kind")
     if member is not None:
-        # every value past x_max lands in one last bin, which is dropped;
-        # numpy 1.x bincount refuses uint64, and the capped values fit in intp
-        capped = np.minimum(data.values, member.shape[0]).astype(np.intp, copy=False)
-        return np.bincount(capped, minlength=member.shape[0] + 1)[:-1] @ member
+        # every value past x_max lands in one last bin, which is dropped
+        return _histogram(data.values, member.shape[0])[:-1] @ member
     xs = np.sort(data.values)
     counts = (np.searchsorted(xs, tables.his, side="right")
               - np.searchsorted(xs, tables.los, side="left"))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from mixlearn import (
     plan_samples,
     round_to_lattice,
 )
-from mixlearn.moments import _power_sums
+from mixlearn.moments import _HISTOGRAM_BLOCK, _power_sums
 
 
 def _power_sum(values, ell):
@@ -69,6 +71,77 @@ def test_estimate_pmf_ignores_huge_values():
     # the histogram covers 0..T only, so a value of 10**15 costs no memory
     data = _data([0, 2, 10**15, 2])
     assert estimate_pmf(data, 2) == [Fraction(1, 4), 0, Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_power_sums_are_exact_across_histogram_blocks(dtype):
+    # four blocks, the last one partial, mixing values under the histogram's
+    # width, values of 2**16 or more (sorted apart) and values near 2**63
+    rng = np.random.default_rng(9)
+    size = 3 * _HISTOGRAM_BLOCK + 12_345
+    values = rng.integers(0, 100, size=size, dtype=np.int64)
+    wide = rng.choice(size, 600, replace=False)
+    values[wide[:300]] = rng.integers(_HISTOGRAM_BLOCK, 2**40, size=300)
+    values[wide[300:]] = 2**63 - 1 - rng.integers(0, 50, size=300)
+    values[[0, _HISTOGRAM_BLOCK - 1, _HISTOGRAM_BLOCK, size - 1]] = [
+        _HISTOGRAM_BLOCK, 2**63 - 1, _HISTOGRAM_BLOCK - 1, 0]
+    values = values.astype(dtype)
+    counts = Counter(values.tolist())
+    expected = [sum(c * v**ell for v, c in counts.items()) for ell in range(6)]
+    assert _power_sums(values, 5) == expected
+    m = estimate_moments(SampleDataset(Family.POISSON, values), 5)
+    assert m.values == tuple(Fraction(s, size) for s in expected)
+
+
+def test_estimate_pmf_counts_across_a_block_boundary():
+    # values above T on both sides of the first block boundary, and values
+    # of 0..T right at it
+    values = np.full(2 * _HISTOGRAM_BLOCK + 5, 7, dtype=np.int64)
+    b = _HISTOGRAM_BLOCK
+    values[b - 3 : b + 3] = [9, 2, 0, 3, 10**15, 1]
+    values[[0, 10, b + 100, -1]] = [3, 4, 4, 2**62]
+    t = values.size
+    expected = [Fraction(int(np.count_nonzero(values == x)), t) for x in range(5)]
+    assert estimate_pmf(_data(values), 4) == expected
+    assert sum(expected) == Fraction(7, t)
+
+
+def test_estimators_hold_one_block_beside_the_dataset():
+    rng = np.random.default_rng(4)
+    data = _data(rng.geometric(0.25, size=10**6) - 1)
+    # about 100 values of 10**12 widen the histogram to 2**16 bins, and are
+    # sorted apart
+    wide = _data(np.where(rng.random(10**6) < 1e-4, 10**12, data.values))
+    # one block of capped values; for ``wide``, also the 2**16 bins and one
+    # block's bincount of them, and the spill.  A sorted copy of the 8 MB
+    # dataset fits neither.
+    for d, bound in ((data, 2**20), (wide, 2 * 2**20)):
+        estimate_moments(d, 4), estimate_pmf(d, 4)  # warm up outside the trace
+        for estimate in (estimate_moments, estimate_pmf):
+            tracemalloc.start()
+            try:
+                estimate(d, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (estimate.__name__, peak)
+
+
+def test_a_spill_of_every_value_holds_nine_bytes_a_value():
+    # every value is 2**16 or more, so every one is copied out and sorted,
+    # in place: no second copy beside the spill and its run starts
+    values = np.random.default_rng(2).choice([70_000, 10**12, 2**62], size=10**6)
+    data = _data(values)
+    expected = estimate_moments(data, 3)
+    tracemalloc.start()
+    try:
+        got = estimate_moments(data, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert got.values[1] == Fraction(sum(values.tolist()), values.size)
+    assert peak <= 9 * values.size + 2**20
 
 
 @given(st.integers(min_value=-50, max_value=50),

@@ -266,6 +266,10 @@ def test_draw_threads_under_a_short_switch_interval(monkeypatch):
             got = _component_draws(rng, family, shared, value, count)
             assert got.tobytes() == _one_matrix(ref, family, shared, value, count).tobytes()
             assert rng.random() == ref.random()
+        # and as they place their rows into a shared output
+        for spec in _RARE_COMPONENT_SPECS:
+            got = sample(spec, 208_953, seed=8).values
+            assert got.tobytes() == _one_matrix_sample(spec, 208_953, 8, 0).tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -388,12 +392,12 @@ def test_an_all_constant_mixture_is_charged_no_component_draws():
     finally:
         tracemalloc.stop()
     assert peak <= sampling.sample_bytes(spec, count) + 3 * 2**20
-    # 3e8 draws hold 2.7e9 bytes, within the cap (at 17 bytes a draw they
-    # were refused from 252,645,136 draws); the check allocates nothing
+    # 3e8 draws hold 2.7e9 bytes, within the cap; the check allocates nothing
     sampling._check_count(spec, 3 * 10**8)
-    # one component with a kernel brings back its draws
+    # a component with a kernel holds no draws either: they are placed in
+    # the output one block at a time
     mixed = uniform_spec(spec.grid, (0, 4), SharedParams(n=10))
-    assert sampling.sample_bytes(mixed, count) == 17 * count
+    assert sampling.sample_bytes(mixed, count) == 9 * count
 
 
 def test_binomial_sampler_memory_is_bounded():
@@ -422,6 +426,46 @@ def _searchsorted_reference_sample(spec, count, seed, stream):
         if mask.any():
             out[mask] = _component_draws(rng, spec.family, spec.shared, value, int(mask.sum()))
     return out
+
+
+def _one_matrix_sample(spec, count, seed, stream):
+    """Reference: a binary search per choice uniform picks each row's
+    component, each component draws its rows from one runs x rows x width
+    matrix, and a boolean mask places them."""
+    rng = derived_rng(seed, stream)
+    cumw = np.cumsum([float(w) for w in spec.weights])
+    cumw[-1] = 1.0
+    choice = np.searchsorted(cumw, rng.random(count), side="right")
+    out = np.zeros(count, dtype=np.float64 if spec.family in (Family.GAUSSIAN,
+                                                              Family.CHI_SQUARED)
+                   else np.int64)
+    for c, value in enumerate(spec.values()):
+        mask = choice == c
+        out[mask] = _one_matrix(rng, spec.family, spec.shared, value, int(mask.sum()))
+    return out
+
+
+#: a component of weight 1/64 beside common ones: at 2 x 30 uniforms a row
+#: its draw blocks of 2,114 rows each span over two choice blocks
+_RARE_COMPONENT_SPECS = [
+    MixtureSpec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4, 7),
+                (Fraction(1, 64), Fraction(31, 64), Fraction(1, 2))),
+    MixtureSpec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4), (1, 3),
+                (Fraction(1, 64), Fraction(63, 64)), SharedParams(n=10)),
+    MixtureSpec(ParameterGrid(Family.CHI_SQUARED, 1, 1, 30), (1, 30),
+                (Fraction(63, 64), Fraction(1, 64))),
+]
+
+
+@pytest.mark.parametrize("spec", _RARE_COMPONENT_SPECS, ids=["poisson", "binomial", "chi-squared"])
+@pytest.mark.parametrize("count", [65_535, 65_536, 65_537, 208_953])
+def test_placed_rows_match_one_matrix_per_component(monkeypatch, spec, count):
+    # each draw thread writes its blocks straight into the component's rows
+    # of the output, starting inside a choice block
+    expected = _one_matrix_sample(spec, count, 4, 1).tobytes()
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(sampling, "_sampling_threads", threads)
+        assert sample(spec, count, seed=4, stream=1).values.tobytes() == expected, threads
 
 
 @pytest.mark.parametrize("spec", [
@@ -628,18 +672,42 @@ def test_sample_memory_is_bounded_per_draw(family, indices, shared):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = _reference_rows(spec, count, 1)
-    draws = int(max(rows)) * 8
-    # the int64 or float64 output, one byte of choice a draw, the largest
-    # component's draws, and 3 MB of fixed-size scratch
-    assert peak <= 8 * count + count + draws + 3 * 2**20
+    # the int64 or float64 output, one byte of choice a draw and 3 MB of
+    # fixed-size scratch: no component's draws are held apart from the output
+    assert peak <= 8 * count + count + 3 * 2**20
     assert peak <= sampling.sample_bytes(spec, count) + 3 * 2**20
+
+
+@pytest.mark.parametrize("spec", [
+    _spec(Family.BINOMIAL_P, (1, 2), n=10),
+    uniform_spec(ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4), (1, 3),
+                 SharedParams(n=10)),
+    _spec(Family.POISSON, (1, 4)),
+    _spec(Family.GEOMETRIC_P, (1, 3)),
+    _spec(Family.GAUSSIAN, (0, 3), sigma=1.0),
+], ids=["binomial-half-one", "binomial-quarter", "poisson", "geometric-p", "gaussian"])
+def test_sample_scratch_does_not_grow_with_the_draw_threads(monkeypatch, spec):
+    count = 10**6
+    peaks = []
+    for threads in (8, 1, 8):  # the first run warms up lazy imports and tables
+        monkeypatch.setattr(sampling, "_sampling_threads", threads)
+        tracemalloc.start()
+        try:
+            sample(spec, count, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the threads of a draw share one block of placement scratch; each of
+    # the 7 more threads adds its bookkeeping and numpy's fixed-size casting
+    # buffers (about 45 KiB for a binomial), where a choice block of row
+    # indices would add 512 KiB
+    assert peaks[2] <= peaks[1] + 2**19
 
 
 def test_a_draw_past_the_sample_cap_allocates_nothing():
     spec = _spec(Family.POISSON, (1, 4))
-    # output, choice and a component's draws
-    assert sampling.sample_bytes(spec, 10**13) == 10**13 * (16 + 1) > sampling.SAMPLE_CAP
+    # the output and the choice
+    assert sampling.sample_bytes(spec, 10**13) == 10**13 * (8 + 1) > sampling.SAMPLE_CAP
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError):
@@ -818,9 +886,9 @@ def test_sample_bytes_is_the_same_at_any_cpu_count(monkeypatch, started_threads)
                 monkeypatch.setattr(sampling, "_sampling_threads", cpus)
                 held.add(sampling.sample_bytes(spec, count))
             assert len(held) == 1, (spec, count)
-    # the output, the choice, the draws and one row of 2 x 2**27 uniforms:
-    # under the cap on every host
-    assert sampling.sample_bytes(specs[-2], 2) == 2 * 17 + 8 * 2**28 <= sampling.SAMPLE_CAP
+    # the output, the choice and one row of 2 x 2**27 uniforms: under the
+    # cap on every host
+    assert sampling.sample_bytes(specs[-2], 2) == 2 * 9 + 8 * 2**28 <= sampling.SAMPLE_CAP
     assert started_threads == []
 
 

@@ -88,6 +88,15 @@ def _reference_set_probability(spec, s):
     return total
 
 
+def _reference_table_set_probabilities(masses, member):
+    """masses @ member summed left to right in point order, one product
+    over the whole table per point."""
+    total = np.zeros((masses.shape[0], member.shape[1]))
+    for x in range(member.shape[0]):
+        total += masses[:, x, None] * member[x]
+    return total
+
+
 def _poisson(indices, max_index=5):
     return uniform_spec(ParameterGrid(Family.POISSON, 1, 0, max_index), indices)
 
@@ -501,6 +510,23 @@ def test_a_selection_holds_its_score_table_a_block_at_a_time():
     emp = scheffe._hits(data, pre) / len(data)
     assert result.scores == tuple(np.abs(pre.probs - emp).max(axis=1))
     assert result == expected
+
+
+def test_precompute_holds_its_set_products_a_block_at_a_time():
+    # C = 120 candidates and 7,140 sets: a 6.5 MiB candidates x sets table,
+    # which a product over every candidate at once would double
+    candidates = candidate_family(ParameterGrid(Family.POISSON, 1, 0, 15), 2)
+    precompute_mde(candidates[:3])  # lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        pre = precompute_mde(candidates)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pre.probs.shape == (120, 7140)
+    assert peak <= held + 3 * 2**20
+    masses = tv.mass_table(candidates, pre.member.shape[0] - 1)
+    assert np.array_equal(pre.probs, _reference_table_set_probabilities(masses, pre.member))
 
 
 def test_precompute_refuses_an_oversize_table_before_building_it():
