@@ -63,6 +63,10 @@ SPECS = [
     # p = 1/4 and p = 1: the p = 1 component is 0 over 0 runs beside a kernel
     ("geometric-p", Fraction(1, 4), 1, 4, (1, 4), {}),
     ("geometric-u", Fraction(1), 0, 3, (0, 2), {}),
+    # p = 1 and p near 2**-20: nearly half the draws pass the histogram's
+    # 2**16 bins, most of them distinct, so the estimator's bound is gated on
+    # values that spill past the histogram
+    ("geometric-u", Fraction(1), 0, 2**20, (0, 2**20), {}),
     ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),
     ("chi-squared", 1, 1, 5, (2, 5), {}),
     ("neg-binomial", 1, 1, 4, (1, 3), {"p": Fraction(1, 3)}),

@@ -359,6 +359,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     start = time.monotonic()
     _route(config.method, config.family)  # before any precompute or sampling
+    if config.trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {config.trials}")
+    if len(config.truth) != config.k:
+        raise DomainError(f"k={config.k} disagrees with {len(config.truth)} true indices")
     workers = max(1, min(sampling._sampling_threads, config.trials))
     if not config.oracle:  # the sample count too, and the draws held at once
         workers = min(workers, sampling.SAMPLE_CAP

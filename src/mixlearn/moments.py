@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,16 +31,22 @@ class EmpiricalMoments:
             raise DomainError("zeroth empirical moment must be 1")
 
 
-#: values ``_histogram`` caps and counts at once (512 KiB of intp)
+#: values ``_histogram`` caps and counts at once, and ``_power_sums`` scans
+#: for values at or above the histogram's width at once (512 KiB of intp)
 _HISTOGRAM_BLOCK = 2**16
+#: entries of a (bases, counts) table ``_power_sums`` raises to every order
+#: at once.  On 10**6 draws of geometric-u (0, 2**20), ``estimate_moments(.,
+#: 4)`` traces its 8 MB dataset plus 2.2 MiB, against 4.7 MiB with whole
+#: 2**16-entry tables (numpy 2.4, x86_64)
+_POWER_CHUNK = 2**12
 
 
 def _histogram(values: np.ndarray, width: int) -> np.ndarray:
     """How many of the nonnegative integers ``values`` equal each of
-    0..width-1, with one last bin for those of ``width`` or more: one
-    ``np.bincount`` over ``np.minimum(block, width)`` per block of
-    ``_HISTOGRAM_BLOCK`` values, so the scratch is one block and the bins,
-    not a copy of the data."""
+    0..width-1, with one last bin for those of ``width`` or more.  Each
+    block of ``_HISTOGRAM_BLOCK`` values is capped at ``width`` into one
+    reused buffer and counted by ``np.bincount``, so the scratch is that
+    buffer and the bins, whatever the data's size or magnitude."""
     counts = np.zeros(width + 1, dtype=np.intp)
     # numpy 1.x bincount refuses uint64, and the capped values fit in intp; a
     # cap past the dtype's range would not fit the dtype, and changes nothing
@@ -52,47 +59,37 @@ def _histogram(values: np.ndarray, width: int) -> np.ndarray:
     return counts
 
 
-def _spilled_counts(values: np.ndarray, width: int, n: int) -> Tuple[List[int], List[int]]:
-    """The distinct values of ``values`` at or above ``width``, of which
-    there are ``n``, and how many times each occurs.  They are copied out a
-    block at a time and sorted in place, so the scratch is 9 bytes a value
-    of that spill: never more than the sorted copy and mask ``np.unique``
-    would take of the whole data."""
-    spill, end = np.empty(n, dtype=values.dtype), 0
-    for lo in range(0, values.size, _HISTOGRAM_BLOCK):
-        block = values[lo : lo + _HISTOGRAM_BLOCK]
-        wide = block[block >= width]
-        spill[end : end + wide.size] = wide
-        end += wide.size
-    spill.sort()
-    first = np.empty(n, dtype=bool)  # where each distinct value starts
-    first[0] = True
-    np.not_equal(spill[1:], spill[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return spill[starts].tolist(), np.diff(starts, append=n).tolist()
-
-
 def _power_sums(values: np.ndarray, T: int) -> List[int]:
     """Exact integer sums of values**ell for ell = 0..T, over a nonempty
     array of nonnegative integers.
 
-    ``_histogram`` counts the values below a width of min(max + 1, 2**16,
-    size), and ``_spilled_counts`` the values at or above it, so the
-    scratch is one block, the bins and that spill.  Each order's sum is
-    then taken over the distinct values with Python ints, so it is exact
-    whatever the magnitude.
+    The values come as (bases, counts) tables: one ``_histogram`` of those
+    below a width of min(max + 1, 2**16, size), then, if any are at or
+    above it, one ``np.unique`` of those per block of ``_HISTOGRAM_BLOCK``
+    values.  Every table adds c * v**ell to each order's sum in Python
+    ints, ``_POWER_CHUNK`` entries at a time, so each sum is exact whatever
+    the magnitude, and the scratch is one block, the bins and one chunk,
+    whatever the number of distinct values.
     """
     width = min(int(values.max()) + 1, _HISTOGRAM_BLOCK, values.size)
     hist = _histogram(values, width)
-    bases, counts = _spilled_counts(values, width, int(hist[-1])) if hist[-1] else ([], [])
     below = np.flatnonzero(hist[:-1])
-    bases += below.tolist()
-    counts += hist[below].tolist()
-    powers = [1] * len(counts)
-    sums = [int(values.size)]
-    for _ in range(T):
-        powers = [pw * v for pw, v in zip(powers, bases)]
-        sums.append(sum(pw * c for pw, c in zip(powers, counts)))
+    tables = [(below, hist[below])]
+    if hist[-1]:  # and the values at or above the width, a block at a time
+        blocks = (values[lo : lo + _HISTOGRAM_BLOCK]
+                  for lo in range(0, values.size, _HISTOGRAM_BLOCK))
+        tables = itertools.chain(tables, (
+            np.unique(b[b >= width], return_counts=True) for b in blocks))
+    del hist  # up to 2**16 bins, not needed past here
+    sums = [0] * (T + 1)
+    for bases, counts in tables:
+        for lo in range(0, bases.size, _POWER_CHUNK):
+            chunk = bases[lo : lo + _POWER_CHUNK].tolist()
+            terms = counts[lo : lo + _POWER_CHUNK].tolist()  # c * v**0
+            sums[0] += sum(terms)
+            for ell in range(1, T + 1):
+                terms = [c * v for c, v in zip(terms, chunk)]
+                sums[ell] += sum(terms)
     return sums
 
 
@@ -204,6 +201,8 @@ def plan_samples(
     """
     if T < 1:
         raise ContractError("plan needs T >= 1")
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
     eps = grid.step
     # per family: the first order, the degree of observable ell less ell, and
     # the bound on t_ell

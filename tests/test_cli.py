@@ -97,6 +97,19 @@ def test_plan_samples_output(capsys):
     assert "t=518400" in out
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_plan_samples_refuses_k_below_one(capsys, k):
+    # k = 0 used to end in a ZeroDivisionError traceback, and k = -2 to print
+    # gamma=-1/4 and exit 0
+    rc = cli_dispatch([
+        "plan-samples", "--family", "geometric-u", "--k", k, "--T", "2",
+        "--scheme", "chebyshev", "--max-index", "3",
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: k must be at least 1, got {k}\n"
+
+
 def test_verify_identifiability_prints_the_collision(capsys):
     assert cli_dispatch(["verify-identifiability", "--n", "8", "--T", "2"]) == 0
     assert capsys.readouterr().out == (
@@ -359,6 +372,25 @@ def test_experiment_records_a_trial_off_the_lattice_as_a_failed_row(tmp_path, ca
     assert all(row[2:] == ["", "0", "nan", "MomentInconsistencyError"] for row in failed)
     assert all(row[2] == "1 2" and row[3] == "1" for row in rows[1:] if not row[5])
     assert f"errors={len(failed)} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("trials=-3", "trials must be nonnegative, got -3"),
+    ("k=3", "k=3 disagrees with 2 true indices"),
+])
+def test_experiment_refuses_a_bad_config(tmp_path, capsys, line, message):
+    # trials=-3 used to exit 0 with successes=0/-3, and k=3 beside truth=1,4
+    # to learn three indices and report successes=0/2
+    base = {"family": "poisson", "method": "mde", "eps": "1", "min_index": "0",
+            "max_index": "5", "k": "2", "truth": "1,4", "samples": "2000",
+            "trials": "2", "seed": "1"}
+    key, value = line.split("=")
+    text = "".join(f"{f}={value if f == key else v}\n" for f, v in base.items())
+    rc, out_dir = _experiment(tmp_path, text)
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_sample_count_past_the_cap_exit_code(tmp_path, spec_file, capsys):

@@ -406,6 +406,27 @@ def test_run_experiment_refuses_an_unsupported_pair_before_any_work(monkeypatch)
         run_experiment(config)
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"trials": -3}, "trials must be nonnegative"),
+    # k = 3 with two true indices used to learn three and report 0/2
+    ({"k": 3}, "k=3 disagrees with 2 true indices"),
+    ({"truth": (1, 2, 4)}, "k=2 disagrees with 3 true indices"),
+])
+def test_run_experiment_refuses_a_bad_config_before_any_work(monkeypatch, change, match):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the config check")
+
+    monkeypatch.setattr(learners, "precompute_mde", forbidden)
+    monkeypatch.setattr(learners, "sample", forbidden)
+    config = _poisson_config(trials=2)
+    for method in ("mde", "moments"):
+        fields = dict(vars(config), method=method, **change)
+        if method == "moments":
+            fields.update(family=Family.BINOMIAL_P, eps=Fraction(1, 4), max_index=4, n=10)
+        with pytest.raises(DomainError, match=match):
+            run_experiment(ExperimentConfig(**fields))
+
+
 def test_run_experiment_refuses_a_rate_over_the_cap_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the rate check")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mixlearn import (
     ContractError,
@@ -19,6 +19,8 @@ from mixlearn import (
     moment_lattice_spacing,
     plan_samples,
     round_to_lattice,
+    sample,
+    uniform_spec,
 )
 from mixlearn.moments import _HISTOGRAM_BLOCK, _power_sums
 
@@ -127,9 +129,10 @@ def test_estimators_hold_one_block_beside_the_dataset():
             assert peak <= bound, (estimate.__name__, peak)
 
 
-def test_a_spill_of_every_value_holds_nine_bytes_a_value():
-    # every value is 2**16 or more, so every one is copied out and sorted,
-    # in place: no second copy beside the spill and its run starts
+def test_a_spill_of_every_value_holds_one_block():
+    # every value is 2**16 or more, so every block is counted by np.unique:
+    # the scratch is one block and one chunk of power-table ints, not a
+    # copy of the spill, so the bound does not grow with the data
     values = np.random.default_rng(2).choice([70_000, 10**12, 2**62], size=10**6)
     data = _data(values)
     expected = estimate_moments(data, 3)
@@ -141,7 +144,54 @@ def test_a_spill_of_every_value_holds_nine_bytes_a_value():
         tracemalloc.stop()
     assert got == expected
     assert got.values[1] == Fraction(sum(values.tolist()), values.size)
-    assert peak <= 9 * values.size + 2**20
+    assert peak <= 2 * 2**20
+
+
+#: values on both sides of 2**16, 2**63 and the uint64 maximum
+_WIDE_VALUES = st.one_of(
+    st.integers(_HISTOGRAM_BLOCK - 3, _HISTOGRAM_BLOCK + 3),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(2**64 - 3, 2**64 - 1),
+)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.one_of(st.integers(1, 300),
+                 st.integers(_HISTOGRAM_BLOCK - 2, _HISTOGRAM_BLOCK + 2),
+                 st.integers(2 * _HISTOGRAM_BLOCK - 1, 2 * _HISTOGRAM_BLOCK + 1)),
+       st.lists(st.integers(0, 300), min_size=1, max_size=6),
+       st.lists(_WIDE_VALUES, min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1),
+       st.integers(0, 6))
+def test_power_sums_match_a_counter(dtype, size, small, wide, seed, T):
+    # small values straddle the width min(max + 1, 2**16, size) too, as
+    # uint8 values do when there are fewer of them than 256
+    pool = [v for v in small + wide if v <= np.iinfo(dtype).max] or [0]
+    values = np.random.default_rng(seed).choice(np.array(pool, dtype=dtype), size=size)
+    counts = Counter(values.tolist())
+    assert _power_sums(values, T) == [sum(c * v**ell for v, c in counts.items())
+                                      for ell in range(T + 1)]
+
+
+def test_a_wide_geometric_u_estimate_holds_one_block():
+    # p = 1 and p near 2**-20: about half the draws pass 2**16, most of
+    # them distinct, and each block of them is counted apart
+    spec = uniform_spec(ParameterGrid(Family.GEOMETRIC_U, Fraction(1), 0, 2**20),
+                        (0, 2**20), SharedParams())
+    data = sample(spec, 2 * 10**5, seed=1)
+    assert np.count_nonzero(data.values >= _HISTOGRAM_BLOCK) > _HISTOGRAM_BLOCK
+    estimate_moments(data, 4)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        got = estimate_moments(data, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = Counter(data.values.tolist())
+    assert got.values == tuple(
+        Fraction(sum(c * v**ell for v, c in counts.items()), len(data)) for ell in range(5))
+    assert peak <= 3 * 2**20  # over the dataset, which was made before the trace
 
 
 @given(st.integers(min_value=-50, max_value=50),
