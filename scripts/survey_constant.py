@@ -4,7 +4,8 @@ The analytic route rests on distinct k-sparse Poisson mixtures with rates
 <= N staying at least k^-1 exp(-c N^(1/3)) apart in TV.  This runs
 ``separation_survey`` on the grid {0..N} at its default L and tolerance for
 k = 2, N = 5..35 and k = 3, N = 5..15, and writes each survey's pair count,
-wall time, least certified TV (``min_tv_lo``) and implied c to a JSON file.
+wall time, least certified TV (``min_tv_lo``), implied c and least
+characteristic-function lower bound (``min_charfn_bound``) to a JSON file.
 
     PYTHONPATH=src python scripts/survey_constant.py [BENCH_survey.json]
 """
@@ -36,6 +37,7 @@ def main() -> None:
             "wall_s": round(wall, 4),
             "min_tv_lo": summary.min_tv_lo,
             "implied_constant": summary.implied_constant,
+            "min_charfn_bound": min(r.charfn_bound for r in summary.rows),
         })
         print(f"k={k} N={N} pairs={len(summary.rows)} {wall:.2f}s "
               f"min_tv_lo={summary.min_tv_lo:.6g} c={summary.implied_constant:.4f}",

@@ -18,11 +18,15 @@ from .special import chi_squared_cdf, normal_cdf
 Real = Union[int, float, Fraction]
 
 
-def _as_count(x: Real) -> int:
-    xf = float(x)
-    if xf < 0 or xf != int(xf):
-        raise DomainError(f"value {x} outside discrete support")
-    return int(xf)
+def _as_count(x: Real, error=DomainError, what: str = "value") -> int:
+    """x as an int, or ``error`` unless x is a nonnegative integral number
+    (nan and inf are refused)."""
+    try:
+        if int(x) == x >= 0:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):  # nan, inf or not a number
+        pass
+    raise error(f"{what} must be a nonnegative integer, got {x!r}")
 
 
 def _comb_mass(top: int, x: int, a_pow, b_pow) -> float:
@@ -134,30 +138,36 @@ def cdf(spec: MixtureSpec, x: Real) -> float:
     return _mix([spec], component_cdf, [0.0])[0]
 
 
-def _component_charfn(
-    family: Family, shared, value: Fraction, ts: np.ndarray
-) -> np.ndarray:
-    z = np.exp(1j * ts)
-    if family is Family.GAUSSIAN:
-        s = shared.sigma
-        return np.exp(1j * ts * float(value) - 0.5 * s * s * ts * ts)
+def _component_pgf(family: Family, shared, value: Fraction, z, exp=np.exp):
+    """E[z^X] for one discrete component: ``z`` a complex array on the unit
+    circle (the characteristic function, ``exp`` = ``np.exp``) or a real
+    float past 1 (the tail bounds, ``exp`` = ``math.exp``)."""
     if family is Family.POISSON:
-        return np.exp(float(value) * (z - 1.0))
+        return exp(float(value) * (z - 1.0))
     if family is Family.BINOMIAL_P:
         p = float(value)
         return (1.0 - p + p * z) ** shared.n
     if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
         p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
         if p == 0.0:
-            # degenerate zero-mass component
+            # degenerate zero-mass component (``mgf_a2x`` diverges first)
             return np.zeros_like(z)
         return p / (1.0 - (1.0 - p) * z)
-    if family is Family.CHI_SQUARED:
-        return (1.0 - 2.0j * ts) ** (-int(value) / 2.0)
     if family is Family.NEG_BINOMIAL:
         p = float(shared.p)
         return ((1.0 - p) / (1.0 - p * z)) ** int(value)
-    raise ContractError(f"no characteristic function for {family.value}")
+    raise ContractError(f"{family.value} is not a discrete family")
+
+
+def _component_charfn(
+    family: Family, shared, value: Fraction, ts: np.ndarray
+) -> np.ndarray:
+    if family is Family.GAUSSIAN:
+        s = shared.sigma
+        return np.exp(1j * ts * float(value) - 0.5 * s * s * ts * ts)
+    if family is Family.CHI_SQUARED:
+        return (1.0 - 2.0j * ts) ** (-int(value) / 2.0)
+    return _component_pgf(family, shared, value, np.exp(1j * ts))
 
 
 def char_fn(spec: MixtureSpec, t):
@@ -173,10 +183,16 @@ def char_fn(spec: MixtureSpec, t):
     return complex(total) if total.ndim == 0 else total
 
 
-def _horner_exact(spec: MixtureSpec, ell: int) -> Fraction:
-    """Sum of w * p(v) over the components (w, v), p the integer polynomial
-    moment_polynomial(family, shared, ell): E X^ell, or Pr(X = ell) on the
-    geometric p-grid."""
+def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
+    """Exact rational raw moment E X^ell of the mixture (binomial-p,
+    geometric-u and Poisson): the sum of w * p(v) over the components (w, v),
+    p the integer polynomial ``moment_polynomial(family, shared, ell)``."""
+    ell = _as_count(ell, ContractError, "moment order")
+    if spec.family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U, Family.POISSON):
+        # geometric-p's moment_polynomial gives the pmf, not a moment
+        raise ContractError(
+            f"exact moments unsupported for family {spec.family.value}"
+        )
     coeffs = moment_polynomial(spec.family, spec.shared, ell)
     degree = len(coeffs) - 1
     total = Fraction(0)
@@ -191,50 +207,28 @@ def _horner_exact(spec: MixtureSpec, ell: int) -> Fraction:
     return total
 
 
-def mixture_moment_exact(spec: MixtureSpec, ell: int) -> Fraction:
-    """Exact rational raw moment E X^ell of the mixture (binomial-p,
-    geometric-u and Poisson)."""
-    if ell < 0:
-        raise ContractError("moment order must be nonnegative")
-    if spec.family not in (Family.BINOMIAL_P, Family.GEOMETRIC_U, Family.POISSON):
-        # geometric-p's moment_polynomial gives the pmf, not a moment
-        raise ContractError(
-            f"exact moments unsupported for family {spec.family.value}"
-        )
-    return _horner_exact(spec, ell)
-
-
 def mixture_pmf_exact(spec: MixtureSpec, x: int) -> Fraction:
-    """Exact rational pmf for the geometric p-grid (used by the pmf learner)."""
+    """Exact rational pmf sum of w * (1 - p)^x * p for the geometric p-grid
+    (used by the pmf learner)."""
     if spec.family is not Family.GEOMETRIC_P:
         raise ContractError("exact pmf is provided for geometric-p only")
-    if x < 0:
-        raise DomainError("discrete support is nonnegative")
-    return _horner_exact(spec, x)
+    x = _as_count(x)
+    return sum((w * (1 - v) ** x * v for w, v in spec.components()), Fraction(0))
 
 
 def mgf_a2x(family: Family, shared, value: Fraction, a: float) -> float:
-    """E[a^(2X)] for one component, used by tail certificates; inf where
-    it diverges or passes the float range."""
+    """E[a^(2X)] for one component, its generating function at a^2, used by
+    tail certificates; inf where it diverges or passes the float range."""
+    if family not in DISCRETE_FAMILIES:
+        raise ContractError(f"E[a^2X] unavailable for family {family.value}")
     a2 = a * a
+    if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
+        p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
+        if p == 0.0 or (1.0 - p) * a2 >= 1.0:
+            return math.inf
+    if family is Family.NEG_BINOMIAL and float(shared.p) * a2 >= 1.0:
+        return math.inf
     try:
-        if family is Family.POISSON:
-            return math.exp(float(value) * (a2 - 1.0))
-        if family is Family.BINOMIAL_P:
-            p = float(value)
-            return (1.0 - p + p * a2) ** shared.n
-        if family in (Family.GEOMETRIC_P, Family.GEOMETRIC_U):
-            p = float(value) if family is Family.GEOMETRIC_P else 1.0 / float(value)
-            if p == 0.0:
-                return math.inf
-            if (1.0 - p) * a2 >= 1.0:
-                return math.inf
-            return p / (1.0 - (1.0 - p) * a2)
-        if family is Family.NEG_BINOMIAL:
-            p = float(shared.p)
-            if p * a2 >= 1.0:
-                return math.inf
-            return ((1.0 - p) / (1.0 - p * a2)) ** int(value)
+        return _component_pgf(family, shared, value, a2, math.exp)
     except OverflowError:
         return math.inf
-    raise ContractError(f"E[a^2X] unavailable for family {family.value}")

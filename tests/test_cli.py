@@ -110,6 +110,44 @@ def test_plan_samples_refuses_k_below_one(capsys, k):
     assert err == f"error: k must be at least 1, got {k}\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--T", "300"],
+    ["--T", "400"],
+    ["--T", "2", "--delta", "1/" + "1" + "0" * 400],
+])
+def test_plan_samples_past_the_float_range_exits_1(capsys, flags):
+    # these ended in OverflowError and ZeroDivisionError tracebacks
+    rc = cli_dispatch([
+        "plan-samples", "--family", "geometric-p", "--k", "2", "--scheme", "chernoff",
+        "--eps", "1/4", "--max-index", "4", *flags,
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: the chernoff bound at order ")
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--samples", "0"], "error: --samples must be positive"),
+    (["--samples", "5", "--family", "nope"], "argument --family: unknown family 'nope'"),
+])
+def test_simulate_refuses_bad_flags_with_exit_2(tmp_path, spec_file, capsys, flags, reason):
+    out_path = tmp_path / "x.txt"
+    rc = cli_dispatch(["simulate", "--spec", str(spec_file), "--seed", "1",
+                       "--out", str(out_path), *flags])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_a_rational_flag_of_zero_denominator_exits_2(capsys):
+    rc = cli_dispatch([
+        "plan-samples", "--family", "binomial-p", "--k", "2", "--T", "2",
+        "--scheme", "chebyshev", "--eps", "1/0", "--max-index", "2", "--n", "10",
+    ])
+    assert rc == 2
+    assert "argument --eps: invalid rational '1/0'" in capsys.readouterr().err
+
+
 def test_verify_identifiability_prints_the_collision(capsys):
     assert cli_dispatch(["verify-identifiability", "--n", "8", "--T", "2"]) == 0
     assert capsys.readouterr().out == (

@@ -324,6 +324,79 @@ def test_mgf_a2x_divergence():
     assert finite == pytest.approx(0.75 / (1.0 - 0.25 * 2.25))
 
 
+def test_mgf_a2x_diverges_at_a_zero_geometric_p_and_past_the_negative_binomial_radius():
+    # p = 0 is a zero-mass grid point with no finite E[a^2X] at any a > 1
+    assert math.isinf(mgf_a2x(Family.GEOMETRIC_P, None, Fraction(0), 1.01))
+    shared = SharedParams(p=Fraction(1, 4))
+    assert math.isinf(mgf_a2x(Family.NEG_BINOMIAL, shared, Fraction(3), 2.0))  # p·a² = 1
+    assert mgf_a2x(Family.NEG_BINOMIAL, shared, Fraction(3), 1.5) == (0.75 / (1.0 - 0.25 * 2.25)) ** 3
+
+
+def test_generating_function_serves_the_char_fn_and_the_tail_bound():
+    # E[z^X] at z = a^2 (mgf_a2x) and on the unit circle (char_fn) for
+    # every discrete family, against the mass series
+    cases = [
+        (Family.POISSON, SharedParams(), Fraction(3)),
+        (Family.BINOMIAL_P, SharedParams(n=9), Fraction(2, 7)),
+        (Family.GEOMETRIC_P, SharedParams(), Fraction(3, 4)),
+        (Family.GEOMETRIC_U, SharedParams(), Fraction(3, 2)),
+        (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 5)), Fraction(4)),
+    ]
+    for family, shared, value in cases:
+        xs = range(10 if family is Family.BINOMIAL_P else 400)
+        masses = [_component_pmf(family, shared, value, x) for x in xs]
+        series = lambda z: sum(m * z**x for x, m in zip(xs, masses))
+        assert mgf_a2x(family, shared, value, 1.1) == pytest.approx(series(1.21), rel=1e-12)
+        t = np.array(0.7)
+        assert complex(_component_charfn(family, shared, value, t)) == pytest.approx(
+            series(complex(np.exp(0.7j))), rel=1e-12)
+
+
+def test_exact_pmf_at_a_large_value_is_fast_and_caches_nothing():
+    # the parent expanded (1 - p)^x p into x + 2 coefficients: 1.2 s at x = 4,000
+    import time
+
+    spec = uniform_spec(ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 8), 0, 8), (1, 5),
+                        SharedParams())
+    cached = moment_polynomial.cache_info().currsize
+    start = time.perf_counter()
+    value = mixture_pmf_exact(spec, 4000)
+    assert time.perf_counter() - start < 0.05
+    assert value == (Fraction(7, 8) ** 4000 / 8 + Fraction(3, 8) ** 4000 * 5 / 8) / 2
+    assert moment_polynomial.cache_info().currsize == cached
+
+
+def _spec_of(family):
+    if family is Family.GEOMETRIC_P:
+        return uniform_spec(ParameterGrid(family, Fraction(1, 4), 0, 4), (1, 3), SharedParams())
+    return uniform_spec(ParameterGrid(family, 1, 0, 4), (1, 3), SharedParams())
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), -1, -2.0, math.nan, math.inf, "2"])
+def test_counts_are_nonnegative_integers_everywhere(bad):
+    # 1.5 used to end in a RecursionError (moments) or a TypeError (pmf), and
+    # nan and inf in ValueError and OverflowError from pmf_or_pdf
+    poisson, geometric = _spec_of(Family.POISSON), _spec_of(Family.GEOMETRIC_P)
+    with pytest.raises(ContractError, match="moment order must be a nonnegative integer"):
+        mixture_moment_exact(poisson, bad)
+    with pytest.raises(DomainError, match="must be a nonnegative integer"):
+        mixture_pmf_exact(geometric, bad)
+    for spec in (poisson, geometric):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            pmf_or_pdf(spec, bad)
+
+
+def test_an_integral_float_order_reads_the_same_moment_cold_or_warm():
+    # 2.0 raised TypeError on a cold cache and gave E X^2 once order 2 had run
+    spec = uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 9), (2, 3), SharedParams())
+    moment_polynomial.cache_clear()
+    assert mixture_moment_exact(spec, 2.0) == mixture_moment_exact(spec, 2) == 9
+    assert mixture_moment_exact(spec, Fraction(2)) == 9
+    geometric = _spec_of(Family.GEOMETRIC_P)
+    assert mixture_pmf_exact(geometric, 3.0) == mixture_pmf_exact(geometric, 3)
+    assert pmf_or_pdf(spec, 2.0) == pmf_or_pdf(spec, 2)
+
+
 def _draw_grid(draw, family):
     if family in (Family.BINOMIAL_P, Family.GEOMETRIC_P):
         m = draw(st.integers(1, 12))

@@ -172,6 +172,16 @@ def test_config_round_trip():
     assert config_from_text(config_to_text(config)) == config
 
 
+def test_oracle_config_round_trip():
+    config = ExperimentConfig(
+        family=Family.POISSON, method="mde", eps=Fraction(1), min_index=0, max_index=5,
+        k=2, truth=(1, 4), samples=0, trials=2, seed=3, oracle=True,
+    )
+    text = config_to_text(config)
+    assert text.endswith("seed=3\noracle=true\n")
+    assert config_from_text(text) == config
+
+
 def test_config_missing_key():
     with pytest.raises(ParseError):
         config_from_text("family=poisson\nmethod=mde\n")

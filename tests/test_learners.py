@@ -441,3 +441,33 @@ def test_run_experiment_refuses_a_rate_over_the_cap_before_any_work(monkeypatch)
     )
     with pytest.raises(ContractError, match="capped at rate"):
         run_experiment(config)
+
+
+def test_run_experiment_refuses_a_trial_count_over_the_cap_before_any_work(monkeypatch):
+    # trials=10**11 used to queue one future per trial before the first ended
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the trials check")
+
+    monkeypatch.setattr(learners, "_candidates", forbidden)
+    monkeypatch.setattr(learners, "precompute_mde", forbidden)
+    monkeypatch.setattr(learners, "sample", forbidden)
+    for trials in (learners._TRIAL_CAP + 1, 10**11):
+        with pytest.raises(CapExceededError, match=f"{trials} trials exceed the cap"):
+            run_experiment(_poisson_config(trials=trials))
+
+
+def test_a_negative_order_is_refused_before_any_estimate(monkeypatch):
+    # T = -1 used to end in an IndexError after the estimate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("estimated before the order check")
+
+    monkeypatch.setattr(learners, "estimate_moments", forbidden)
+    monkeypatch.setattr(learners, "estimate_pmf", forbidden)
+    eps = Fraction(1, 4)
+    spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, eps, 0, 4), (1, 3), SharedParams(n=8))
+    data = sample(spec, 1000, seed=1)
+    with pytest.raises(DomainError, match="T must be nonnegative, got -1"):
+        learn_binomial_moments(data, 8, eps, 2, T=-1)
+    grid = ParameterGrid(Family.GEOMETRIC_P, eps, 0, 4)
+    with pytest.raises(DomainError, match="T must be nonnegative, got -1"):
+        learn_geometric(None, grid, 2, "pmf", oracle_spec=uniform_spec(grid, (1, 3)), T=-1)

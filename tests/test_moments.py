@@ -272,6 +272,27 @@ def test_plan_geometric_pmf_chernoff_formula():
     assert plan.per_moment[0].order == 0
 
 
+@pytest.mark.parametrize("T, uniform_delta", [
+    (300, None),  # gamma^-2 past the float range: OverflowError
+    (400, None),  # delta below it: ZeroDivisionError
+    (2, Fraction(1, 10**400)),
+])
+def test_plan_chernoff_past_the_float_range_is_a_domain_error(T, uniform_delta):
+    grid = ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 4), 0, 4)
+    with pytest.raises(DomainError, match="chernoff bound at order .* leaves the float range"):
+        plan_samples(Family.GEOMETRIC_P, 2, grid, SharedParams(), T, "chernoff",
+                     uniform_delta=uniform_delta)
+
+
+@pytest.mark.parametrize("delta", [Fraction(-1, 10), Fraction(0)])
+def test_plan_refuses_a_failure_probability_that_is_not_positive(delta):
+    # -1/10 used to give a plan of negative sample counts, 0 a ZeroDivisionError
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
+    with pytest.raises(DomainError, match="failure probability must be positive"):
+        plan_samples(Family.BINOMIAL_P, 2, grid, SharedParams(n=8), 2, "chebyshev",
+                     uniform_delta=delta)
+
+
 def test_plan_uniform_delta_override():
     grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2)
     plan = plan_samples(

@@ -262,6 +262,11 @@ def test_tail_certificate_bounds_true_tail():
     assert bound > 0.0 and Fraction(bound) >= exact / 2 / 2**1999
 
 
+def test_tail_certificate_of_zero_weights_is_zero():
+    params = [Fraction(1), Fraction(4)]
+    assert tail_certificate(Family.POISSON, SharedParams(), params, 2.0, 5, [0, 0]) == 0.0
+
+
 def test_tail_certificate_divergence():
     with pytest.raises(CertificateUnavailableError):
         tail_certificate(
