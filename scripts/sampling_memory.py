@@ -3,7 +3,10 @@ and of the estimator that reads them, and check the memory against its
 bound.
 
 For one k = 2 uniform mixture of each family (two for Poisson, at low and
-at higher rates), a fresh process records the tracemalloc peak of one
+at higher rates), for one Poisson mixture of 30 components, whose
+samples walk many components a window, and for a chi-squared mixture of
+d = 1 and d = 30 at weights 63/64 and 1/64, whose components draw blocks
+of different widths, a fresh process records the tracemalloc peak of one
 ``sample(spec, 10**6, seed=1)`` call, after one untraced call of the same
 size (lazy imports and thread pools), the bound ``sample_bytes(spec,
 10**6)`` that ``sample`` is refused by, and the wall times of seven further
@@ -48,7 +51,8 @@ SLACK = 3 * 2**20
 ORDER = 4
 
 
-#: (family, grid step, lowest index, highest index, indices, shared params)
+#: (family, grid step, lowest index, highest index, indices, shared params[,
+#: weights, uniform where left out])
 SPECS = [
     ("poisson", 1, 0, 8, (1, 4), {}),
     # the rates of a Poisson MDE run at the grid size its table cap allows
@@ -70,6 +74,12 @@ SPECS = [
     ("gaussian", 1, 0, 4, (0, 3), {"sigma": 1.0}),
     ("chi-squared", 1, 1, 5, (2, 5), {}),
     ("neg-binomial", 1, 1, 4, (1, 3), {"p": Fraction(1, 3)}),
+    # 30 components, each of about 33,000 rows: no thread split, and each
+    # window asks every component for its rows
+    ("poisson", 1, 0, 29, tuple(range(30)), {}),
+    # a row of 2 uniforms beside a rare row of 60: each component draws
+    # blocks of its own rows
+    ("chi-squared", 1, 1, 30, (1, 30), {}, (Fraction(63, 64), Fraction(1, 64))),
 ]
 
 
@@ -77,13 +87,15 @@ def measure(family: int) -> dict:
     """Traced peaks of the draw and of its estimator, if any, the bound and
     the dataset's size (bytes), and wall times (s) of the ``family``-th spec
     in this process."""
-    from mixlearn import (Family, ParameterGrid, SharedParams, estimate_moments, estimate_pmf,
-                          sample, uniform_spec)
+    from mixlearn import (Family, MixtureSpec, ParameterGrid, SharedParams, estimate_moments,
+                          estimate_pmf, sample, uniform_spec)
     from mixlearn.grids import DISCRETE_FAMILIES
     from mixlearn.sampling import sample_bytes
 
-    name, step, lo, hi, indices, shared = SPECS[family]
-    spec = uniform_spec(ParameterGrid(Family(name), step, lo, hi), indices, SharedParams(**shared))
+    name, step, lo, hi, indices, shared, *weights = SPECS[family]
+    grid, shared = ParameterGrid(Family(name), step, lo, hi), SharedParams(**shared)
+    spec = (MixtureSpec(grid, indices, weights[0], shared) if weights
+            else uniform_spec(grid, indices, shared))
     estimate = (None if spec.family not in DISCRETE_FAMILIES
                 else estimate_pmf if spec.family is Family.GEOMETRIC_P else estimate_moments)
     data = sample(spec, COUNT, seed=1)  # lazy imports outside the trace
@@ -131,7 +143,7 @@ def main() -> None:
     over = []
     for label in trees:
         results[label] = []
-        for i, (name, _, _, _, indices, _) in enumerate(SPECS):
+        for i, (name, _, _, _, indices, _, *weights) in enumerate(SPECS):
             rounds = runs[label, i]
             peak, bound = max(m["peak"] for m in rounds), rounds[0]["bound"]
             if peak > bound + SLACK:
@@ -139,6 +151,7 @@ def main() -> None:
                             f"exceeds sample_bytes {bound} + {SLACK}")
             row = {
                 "family": name, "indices": list(indices), "count": COUNT,
+                **({"weights": [str(w) for w in weights[0]]} if weights else {}),
                 "traced_peak_mb": round(peak / 2**20, 2),
                 "sample_bytes_mb": round(bound / 2**20, 2),
                 "median_wall_s": round(statistics.median(
@@ -165,8 +178,8 @@ def main() -> None:
         json.dump({
             "measure": f"tracemalloc peak of one sample(spec, {COUNT}) call beside its "
                        f"sample_bytes bound, and the median wall time of {REPEATS} calls in "
-                       f"each of {ROUNDS} rounds, per k = 2 uniform mixture, the trees taking "
-                       "turns family by family; for a discrete family, the tracemalloc peak "
+                       f"each of {ROUNDS} rounds, per mixture, the trees taking turns "
+                       "family by family; for a discrete family, the tracemalloc peak "
                        f"of its estimator to order {ORDER} on that call's dataset, the "
                        "dataset included",
             "python": platform.python_version(),

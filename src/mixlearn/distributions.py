@@ -123,7 +123,12 @@ def pmf_or_pdf(spec: MixtureSpec, x: Real) -> float:
     """Mixture density (continuous) or mass (discrete) at x."""
     if spec.family in DISCRETE_FAMILIES:
         xi = _as_count(x)
-        return _mix([spec], lambda v: _component_pmf(spec.family, spec.shared, v, xi), [0.0])[0]
+        try:
+            return _mix([spec], lambda v: _component_pmf(spec.family, spec.shared, v, xi),
+                        [0.0])[0]
+        except OverflowError:  # lgamma(x + 1) or float(x); near its rate a mass is not 0.0
+            raise DomainError(f"{spec.family.value} mass at a {xi.bit_length()}-bit value "
+                              "leaves the float range") from None
     return float(pdf_array(spec, x))
 
 

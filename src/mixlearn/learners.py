@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from .distributions import mixture_moment_exact, mixture_pmf_exact
+from .distributions import _as_count, mixture_moment_exact, mixture_pmf_exact
 from .errors import (
     CapExceededError,
     ContractError,
@@ -87,8 +87,9 @@ def _learn_algebraic(
     """
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    if T < 0:
-        raise DomainError(f"T must be nonnegative, got {T}")
+    T = _as_count(T, DomainError, "T")
+    if shared.n is not None and shared.n < T:
+        raise DomainError(f"need n >= T = {T} trials, got {shared.n}")
     pmf = grid.family is Family.GEOMETRIC_P
     sampled = oracle_spec is None
     if not sampled:
@@ -149,8 +150,6 @@ def learn_binomial_moments(
         T = moments_order_binomial(eps, k)
     if n is None:
         raise ContractError("binomial-p moments need the shared trial count n")
-    if n < T:
-        raise DomainError(f"need n >= T = {T} trials, got {n}")
     return _learn_algebraic(data, grid, shared, k, T, oracle_spec, truth)
 
 
@@ -197,6 +196,8 @@ def learn_mde(
     precomputed=None,
 ) -> LearnResult:
     """Minimum-distance estimation over all distinct k-subsets of the grid."""
+    if family is not grid.family:
+        raise ContractError(f"MDE learner got family {family.value} for a {grid.family.value} grid")
     if family not in ANALYTIC_FAMILIES:
         raise ContractError(f"MDE learner covers the analytic families only")
     candidates = _candidates(grid, k, shared)

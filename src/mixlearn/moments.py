@@ -10,6 +10,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .distributions import _as_count
 from .errors import ContractError, DomainError
 from .grids import Family, ParameterGrid, SharedParams
 from .sampling import SampleDataset
@@ -99,8 +100,7 @@ def estimate_moments(data: SampleDataset, T: int) -> EmpiricalMoments:
         raise DomainError("empty dataset")
     if data.values.dtype.kind not in "iu":
         raise DomainError("moment estimation needs an integer dataset")
-    if T < 0:
-        raise ContractError("T must be nonnegative")
+    T = _as_count(T, ContractError, "T")
     t = len(data)
     vals = tuple(Fraction(s, t) for s in _power_sums(data.values, T))
     return EmpiricalMoments(T=T, values=vals, t=t)
@@ -112,6 +112,7 @@ def estimate_pmf(data: SampleDataset, T: int) -> List[Fraction]:
         raise DomainError("empty dataset")
     if data.values.dtype.kind not in "iu":
         raise DomainError("pmf estimation needs an integer dataset")
+    T = _as_count(T, ContractError, "T")
     t = len(data)
     # the bins follow T, not the largest value in the data
     return [Fraction(int(c), t) for c in _histogram(data.values, T + 1)[:-1]]
@@ -199,6 +200,7 @@ def plan_samples(
     pmf values, and per-order failure probability delta = 9^-(1 + T - ell)
     (summing to < 1/8) unless a uniform override is given.
     """
+    T = _as_count(T, ContractError, "T")
     if T < 1:
         raise ContractError("plan needs T >= 1")
     if k < 1:

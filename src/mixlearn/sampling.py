@@ -27,36 +27,39 @@ negative binomial(r, p)  r     1      the sum of r geometric(1 - p) draws
 =======================  ====  =====  ===================================
 
 A component whose rows are all one value reads no uniform: the generator
-moves past its runs (``PCG64.advance``), no thread starts, and neither a
-uniform block nor an array of draws is allocated.  As u is in [0, 1), a
+moves past its runs (``PCG64.advance``) and its rows take the value, with
+no uniform block or array of draws allocated.  As u is in [0, 1), a
 binomial at p >= 1.0 always counts n and one at p <= 0.0 always counts 0;
 it keeps its 1 run of width n, so every later component reads the stream
 where it did.  A rate-0 Poisson, a geometric whose p is 1.0 in floating
 point, and so a negative binomial whose 1 - p rounds to 1.0, are 0 over
 0 runs.
 
-A draw holds ``_DRAW_BLOCK`` uniforms at once, unless one row holds more,
-and a draw of one block reads its runs in stream order.  A larger draw is
-split into at most one contiguous row range per available CPU (per CPU of
-its share, on an experiment's trial thread) and per row of a block, of
-count * i // parts rows before range i, so its threads together hold one
-block, or one row where a row is wider than a block.  A range reads each
-run from a copy of the generator advanced (``PCG64.advance``) to its first
-row, and the generator ends advanced past all the runs, so neither the
-values nor its later state depend on the block size or the number of
-threads.
+One walk over the rows fills the output.  The choice uniforms come in
+blocks of ``_CHOICE_BLOCK``, whose rows of each component are counted as
+they are chosen.  Where some component has more rows than a block of
+``_DRAW_BLOCK`` numbers holds, the rows are split into at most one
+contiguous range per available CPU (per CPU of its share, on an
+experiment's trial thread), of count * i // parts rows before range i.  A
+range walks its rows in windows of a choice block's rows; in each, every
+component finds its rows in the choice, draws them a block of its own rows
+at a time, each run from a copy of the generator advanced
+(``PCG64.advance``) to its first row in the range, and writes them in
+place.  The generator ends advanced past all the runs, so neither the
+values nor its later state depend on the block size, the window or the
+number of threads.  A sample of one window in which each component draws
+one block reads every run in stream order from the generator itself.
 
 Memory is bounded per draw: ``sample_bytes`` reads every component's
 layout and counts the output, the component choice (the smallest unsigned
 type that holds k - 1) and, where a row is wider than a block, one row of
-uniforms.  The choice uniforms come in blocks of ``_CHOICE_BLOCK``, whose
-rows of each component are counted as they are chosen; from those counts a
-draw's threads find where each of their blocks of rows goes, and write it
-straight into the component's rows of the output, so no component's draws
-are held beside it.  A call that would hold more than ``SAMPLE_CAP`` bytes,
-or draw a Poisson rate over ``_POISSON_RATE_CAP``, is refused before
-anything is allocated.  The layouts of the last 32 Poisson rates are
-kept, read-only (at most about 365 KiB a rate).
+uniforms.  The threads of a walk together hold one block, or that row,
+and a window's choice mask and row indices, 9 bytes a row of a choice
+block; no component's draws are held beside the output.  A call that
+would hold more than ``SAMPLE_CAP`` bytes, or draw a Poisson rate over
+``_POISSON_RATE_CAP``, is refused before anything is allocated.  The
+layouts of the last 32 Poisson rates are kept, read-only (at most about
+365 KiB a rate), and ``sample`` walks at most 32 components at a time.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from __future__ import annotations
 import contextvars
 import copy
 import functools
+import itertools
 import math
 import os
 import threading
@@ -81,14 +85,14 @@ _POISSON_RATE_CAP = 10_000.0
 SAMPLE_CAP = 2**32
 #: component-choice uniforms held at once by ``sample`` (512 KB of float64)
 _CHOICE_BLOCK = 2**16
-#: uniforms one component draw holds at once, its threads together (1 MB of
-#: float64), unless one row holds more
+#: numbers one walk holds at once for the rows it draws, its threads
+#: together (1 MB of float64), unless one row holds more
 _DRAW_BLOCK = 2**17
-#: the CPUs this process may run on: the threads one component draw may
-#: use, and at most the trial threads of ``learners.run_experiment``
+#: the CPUs this process may run on: the threads one walk may use, and at
+#: most the trial threads of ``learners.run_experiment``
 _sampling_threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-#: the threads one component draw may use in the current context, when set:
+#: the threads one walk may use in the current context, when set:
 #: ``run_experiment``'s trial threads each take their share of the CPUs
 _draw_threads = contextvars.ContextVar("_draw_threads")
 
@@ -206,100 +210,71 @@ def _poisson(lam: float):
     return 1, 1, kernel
 
 
-class _Placement:
-    """The rows of ``out`` whose component in ``choice`` is ``c``, in row
-    order; ``per_block`` is how many of them each choice block of
-    ``_CHOICE_BLOCK`` rows holds."""
+def _walk(rng: np.random.Generator, layouts, first: int, choice: np.ndarray,
+          per_block: np.ndarray, out: np.ndarray) -> None:
+    """Fill the rows of ``out`` of components ``first`` on by the layout
+    rule of the module docstring, and advance ``rng`` past their runs: a
+    row of component ``first + c`` takes a draw of (runs, width, kernel)
+    ``layouts[c]``; ``per_block`` counts each component's rows in each
+    choice block.
 
-    def __init__(self, out: np.ndarray, choice: np.ndarray, c: int, per_block: np.ndarray):
-        self.out, self.choice, self.c = out, choice, c
-        self.ends = np.cumsum(per_block)  # the rows of c up to each block's end
-        self.size, self.dtype = int(self.ends[-1]), out.dtype
-
-    def writer(self, first: int, window: int):
-        """A function that writes its values into the rows from the
-        ``first``-th on, each call going on where the last one stopped.
-
-        It reads ``choice`` ``window`` rows at a time, into one mask and the
-        row indices it holds, so it holds at most 9 bytes a window row."""
-        block = int(np.searchsorted(self.ends, first, side="right"))
-        pos = block * _CHOICE_BLOCK
-        mask = np.empty(window, dtype=bool)
-
-        def write(values, n: int) -> None:
-            # values None: move past n rows without writing them
-            nonlocal pos
-            done = 0
-            while done < n:
-                rows = mask[: min(window, self.choice.size - pos)]
-                np.equal(self.choice[pos : pos + rows.size], self.c, out=rows)
-                # index and assign: a boolean mask assignment takes about
-                # four times as long
-                hits = np.flatnonzero(rows)[: n - done]
-                if values is not None:
-                    self.out[pos : pos + rows.size][hits] = values[done : done + hits.size]
-                done += hits.size
-                # where the values end inside the window, the next call
-                # starts after the last row written
-                pos += int(hits[-1]) + 1 if done == n else rows.size
-
-        write(None, first - (int(self.ends[block - 1]) if block else 0))
-        return lambda values: write(values, len(values))
-
-
-def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel, out) -> None:
-    """Fill the rows of one draw by the layout rule of the module docstring,
-    and advance ``rng`` past its ``runs`` runs: the rows of ``out`` in row
-    order, or, where ``out`` is a ``_Placement``, its rows of the output.
-
-    ``kernel(u, out)`` writes the values of a block of rows into ``out``
-    from their uniforms ``u``, runs x rows x ``width``; it may overwrite
-    ``u``.  A block holds ``_DRAW_BLOCK`` numbers: its rows' uniforms and,
-    for a ``_Placement``, their values and row indices until they are
-    placed.  The split takes at most one thread per row of a block, so its
-    threads together hold one block of scratch, or one row where a row is
-    wider than a block, and every thread is joined before the call returns.
+    ``kernel(u, values)`` writes the values of a block of rows from their
+    uniforms ``u``, runs x rows x width; it may overwrite ``u``.  A block
+    holds ``_DRAW_BLOCK`` numbers: its rows' uniforms and values, and one
+    more number a row for the kernel's temporaries.  A range takes at most
+    one thread per row of any component's block, and a share of the block
+    and of the window; every thread is joined before the call returns.
     """
-    count, placed = out.size, isinstance(out, _Placement)
-    rows = max(1, _DRAW_BLOCK // (runs * width + 2 * placed))
-
-    def into(lo: int, size: int):
-        """kernel(u, start) for the blocks of rows from row ``lo`` on, at
-        most ``size`` rows each; a ``_Placement`` reads the choice in
-        windows of as many rows as a block holds, at most a choice block."""
-        if not placed:
-            return lambda u, start: kernel(u, out[start : start + u.shape[1]])
-        values, write = np.empty(size, dtype=out.dtype), out.writer(lo, min(rows, _CHOICE_BLOCK))
-
-        def run(u, start):
-            kernel(u, values[: u.shape[1]])
-            write(values[: u.shape[1]])
-
-        return run
-
-    if count <= rows:
-        # one block is one runs x count x width matrix, read in stream order
-        # from rng itself, with no generator copies to make
-        into(0, count)(rng.random((runs, count, width)), 0)
-        return
-    parts = min(_draw_threads.get(_sampling_threads), -(-count // rows), rows)
-    rows //= parts
-
+    k, count = len(layouts), choice.size
+    sizes = [int(n) for n in per_block[first : first + k].sum(axis=1)]
+    rows = [max(1, _DRAW_BLOCK // (runs * width + 2)) for runs, width, _ in layouts]
+    drawn = [c for c, (_, _, kernel) in enumerate(layouts) if callable(kernel) and sizes[c]]
+    split = any(sizes[c] > rows[c] for c in drawn)
+    parts = min(_draw_threads.get(_sampling_threads), max(-(-sizes[c] // rows[c]) for c in drawn),
+                min(rows[c] for c in drawn)) if split else 1
+    rows, window = [max(1, n // parts) for n in rows], _CHOICE_BLOCK // parts
+    # one window, one block a component: rng reads every run in stream order
+    direct = not split and count <= window
+    # the uniform each component's first run starts at
+    firsts = [0, *itertools.accumulate(runs * width * n for (runs, width, _), n
+                                       in zip(layouts, sizes))]
     errors = []
 
     def fill(lo: int, hi: int) -> None:
         try:
-            # run j is read from a copy of rng advanced to its row lo
-            streams = [np.random.Generator(copy.deepcopy(rng.bit_generator)
-                                           .advance((j * count + lo) * width))
-                       for j in range(runs)]
-            u = np.empty((runs, min(rows, hi - lo), width))
-            run = into(lo, u.shape[1])
-            for start in range(lo, hi, rows):
-                block = u[:, : min(rows, hi - start)]
-                for stream, part in zip(streams, block):
-                    stream.random(out=part)
-                run(block, start)
+            if direct:
+                streams = [[rng]] * k
+            else:
+                # run j of component c is read from a copy of rng advanced
+                # to the first of c's rows in the range
+                before = per_block[:, : lo // _CHOICE_BLOCK].sum(axis=1) + np.bincount(
+                    choice[lo - lo % _CHOICE_BLOCK : lo], minlength=per_block.shape[0])
+                streams = [[np.random.Generator(copy.deepcopy(rng.bit_generator).advance(
+                                firsts[c] + (j * sizes[c] + int(before[first + c])) * width))
+                            for j in range(runs)] if c in drawn else []
+                           for c, (runs, width, _) in enumerate(layouts)]
+            for start in range(lo, hi, window):
+                part = out[start : min(start + window, hi)]
+                chosen = choice[start : start + part.size]
+                for c, (runs, width, kernel) in enumerate(layouts):
+                    # index and assign: a boolean mask assignment takes
+                    # about four times as long
+                    at = np.flatnonzero(chosen == first + c)
+                    if callable(kernel):
+                        for i in range(0, at.size, rows[c]):
+                            block = at[i : i + rows[c]]
+                            u = np.empty((runs, block.size, width))
+                            for stream, run in zip(streams[c], u.reshape(len(streams[c]), -1)):
+                                stream.random(out=run)
+                            values = np.empty(block.size, dtype=out.dtype)
+                            kernel(u, values)
+                            part[block] = values
+                            del u, run, values  # so that one block is alive at a time
+                    else:
+                        for stream in streams[c]:  # rng itself, on the direct path
+                            stream.bit_generator.advance(runs * width * sizes[c])
+                        part[at] = kernel
+                    del at  # and one window's row indices
         except BaseException as exc:  # raised again once every range has ended
             errors.append(exc)
 
@@ -316,11 +291,12 @@ def _draw_rows(rng: np.random.Generator, runs: int, width: int, kernel, out) -> 
         thread.join()
     if errors:
         raise errors[0]
-    rng.bit_generator.advance(runs * count * width)
+    if not direct:
+        rng.bit_generator.advance(firsts[-1])
 
 
 def _layout(family: Family, shared, value):
-    """The (runs, width, kernel) of one component's draws, as ``_draw_rows``
+    """The (runs, width, kernel) of one component's draws, as ``_walk``
     takes them; in place of a kernel, the one value of every row where
     there is one: n or 0 for a binomial at p >= 1.0 or p <= 0.0, over its
     1 run, and 0 over 0 runs (``_poisson``, ``_geometrics``)."""
@@ -358,27 +334,6 @@ def _layout(family: Family, shared, value):
         # sum of r geometrics, each with pmf p^x (1-p)
         return _geometrics(int(value), 1.0 - float(shared.p))
     raise ContractError(f"sampling unsupported for family {family.value}")
-
-
-def _component_draws(
-    rng: np.random.Generator, family: Family, shared, value, count: int,
-    rows: Optional[_Placement] = None,
-) -> Optional[np.ndarray]:
-    """``count`` draws of one component, by its family's layout, written
-    into ``rows`` where given, else returned as one array.  Where every row
-    is one value, ``rng`` is advanced past the runs without generating
-    them, and the array is a read-only view of the value."""
-    runs, width, kernel = _layout(family, shared, value)
-    dtype = np.int64 if family in DISCRETE_FAMILIES else np.float64
-    if callable(kernel):
-        out = np.zeros(count, dtype=dtype) if rows is None else rows
-        _draw_rows(rng, runs, width, kernel, out)
-    else:
-        rng.bit_generator.advance(runs * count * width)
-        out = np.broadcast_to(np.array(kernel, dtype=dtype), count)
-        if rows is not None:
-            rows.writer(0, _CHOICE_BLOCK)(out)
-    return out if rows is None else None
 
 
 def sample_bytes(spec: MixtureSpec, count: int) -> int:
@@ -448,8 +403,9 @@ def sample(
     cumw[-1] = 1.0
     choice, per_block = _choose_components(rng, cumw, count)
     out = np.empty(count, dtype=np.int64 if spec.family in DISCRETE_FAMILIES else np.float64)
-    for c, value in enumerate(spec.values()):
-        rows = _Placement(out, choice, c, per_block[c])
-        if rows.size:
-            _component_draws(rng, spec.family, spec.shared, value, rows.size, rows)
+    # a walk holds its layouts: at most as many at a time as _poisson keeps
+    values, group = spec.values(), _poisson.cache_parameters()["maxsize"]
+    for first in range(0, spec.k, group):
+        _walk(rng, [_layout(spec.family, spec.shared, v) for v in values[first : first + group]],
+              first, choice, per_block, out)
     return SampleDataset(family=spec.family, values=out, seed=seed)

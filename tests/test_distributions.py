@@ -386,6 +386,24 @@ def test_counts_are_nonnegative_integers_everywhere(bad):
             pmf_or_pdf(spec, bad)
 
 
+@pytest.mark.parametrize("family, shared", [
+    (Family.POISSON, SharedParams()),
+    (Family.GEOMETRIC_P, SharedParams()),
+    (Family.GEOMETRIC_U, SharedParams()),
+    (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 3))),
+])
+@pytest.mark.parametrize("x", [2**1100, 10**400], ids=["2**1100", "10**400"])
+def test_a_count_past_the_float_range_is_a_domain_error(family, shared, x):
+    # each ended in OverflowError: int too large to convert to float (a
+    # binomial refuses any x past n)
+    step = Fraction(1, 4) if family is Family.GEOMETRIC_P else 1
+    spec = uniform_spec(ParameterGrid(family, step, 1, 4), (1, 3), shared)
+    with pytest.raises(DomainError, match="mass at a .*-bit value leaves the float range"):
+        pmf_or_pdf(spec, x)
+    # inside the float range the mass is the float it rounds to
+    assert pmf_or_pdf(spec, 10**300) == 0.0
+
+
 def test_an_integral_float_order_reads_the_same_moment_cold_or_warm():
     # 2.0 raised TypeError on a cold cache and gave E X^2 once order 2 had run
     spec = uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 9), (2, 3), SharedParams())

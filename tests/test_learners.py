@@ -194,6 +194,19 @@ def test_mde_learner_rejects_algebraic_families():
         learn_mde(None, Family.BINOMIAL_P, grid, 2, SharedParams(n=10))
 
 
+def test_mde_learner_refuses_a_family_other_than_its_grids(monkeypatch):
+    # the analytic family passed the guard and MDE ran on the binomial-p
+    # grid's candidates, returning (1, 3)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built candidates before the family check")
+
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
+    data = sample(uniform_spec(grid, (1, 3), SharedParams(n=12)), 2000, seed=1)
+    monkeypatch.setattr(learners, "_candidates", forbidden)
+    with pytest.raises(ContractError, match="family gaussian for a binomial-p grid"):
+        learn_mde(data, Family.GAUSSIAN, grid, 2, SharedParams(n=12))
+
+
 def test_gaussian_grid_from_data():
     grid = ParameterGrid(Family.GAUSSIAN, 1, 0, 4)
     spec = uniform_spec(grid, (0, 3), SharedParams(sigma=1.0))
@@ -466,8 +479,37 @@ def test_a_negative_order_is_refused_before_any_estimate(monkeypatch):
     eps = Fraction(1, 4)
     spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, eps, 0, 4), (1, 3), SharedParams(n=8))
     data = sample(spec, 1000, seed=1)
-    with pytest.raises(DomainError, match="T must be nonnegative, got -1"):
+    with pytest.raises(DomainError, match="T must be a nonnegative integer, got -1"):
         learn_binomial_moments(data, 8, eps, 2, T=-1)
     grid = ParameterGrid(Family.GEOMETRIC_P, eps, 0, 4)
-    with pytest.raises(DomainError, match="T must be nonnegative, got -1"):
+    with pytest.raises(DomainError, match="T must be a nonnegative integer, got -1"):
         learn_geometric(None, grid, 2, "pmf", oracle_spec=uniform_spec(grid, (1, 3)), T=-1)
+
+
+@pytest.mark.parametrize("T", [2.5, Fraction(5, 2), math.nan, math.inf, "2"])
+def test_a_non_integral_order_is_refused_before_any_estimate(monkeypatch, T):
+    # 2.5 used to end in a TypeError from range(T + 1), after the estimate
+    # on a dataset, and "2" in one from comparing it with n
+    def forbidden(*args, **kwargs):
+        raise AssertionError("estimated before the order check")
+
+    monkeypatch.setattr(learners, "estimate_moments", forbidden)
+    monkeypatch.setattr(learners, "estimate_pmf", forbidden)
+    monkeypatch.setattr(learners, "mixture_moment_exact", forbidden)
+    monkeypatch.setattr(learners, "mixture_pmf_exact", forbidden)
+    eps = Fraction(1, 4)
+    spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, eps, 0, 4), (1, 3), SharedParams(n=8))
+    data = sample(spec, 1000, seed=1)
+    for kwargs in ({"data": data}, {"data": None, "oracle_spec": spec}):
+        with pytest.raises(DomainError, match="T must be a nonnegative integer"):
+            learn_binomial_moments(n=8, eps=eps, k=2, T=T, **kwargs)
+    grid = ParameterGrid(Family.GEOMETRIC_P, eps, 0, 4)
+    with pytest.raises(DomainError, match="T must be a nonnegative integer"):
+        learn_geometric(None, grid, 2, "pmf", oracle_spec=uniform_spec(grid, (1, 3)), T=T)
+
+
+def test_an_integral_float_order_learns_as_its_int():
+    eps = Fraction(1, 4)
+    spec = uniform_spec(ParameterGrid(Family.BINOMIAL_P, eps, 0, 4), (1, 3), SharedParams(n=8))
+    as_float = learn_binomial_moments(None, 8, eps, 2, oracle_spec=spec, T=2.0)
+    assert as_float == learn_binomial_moments(None, 8, eps, 2, oracle_spec=spec, T=2)

@@ -293,6 +293,25 @@ def test_plan_refuses_a_failure_probability_that_is_not_positive(delta):
                      uniform_delta=delta)
 
 
+@pytest.mark.parametrize("T", [2.5, Fraction(5, 2), math.nan, "2"])
+def test_plan_refuses_a_non_integral_order(T):
+    # 2.5 used to end in a TypeError from range(first, T + 1)
+    grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 4), 0, 4)
+    with pytest.raises(ContractError, match="T must be a nonnegative integer"):
+        plan_samples(Family.BINOMIAL_P, 2, grid, SharedParams(n=8), T, "chebyshev")
+    assert plan_samples(Family.BINOMIAL_P, 2, grid, SharedParams(n=8), 2.0, "chebyshev") == \
+        plan_samples(Family.BINOMIAL_P, 2, grid, SharedParams(n=8), 2, "chebyshev")
+
+
+@pytest.mark.parametrize("T", [-1, 2.5, math.nan, "2"])
+def test_estimates_refuse_a_non_integral_order(T):
+    # 2.5 used to end in a TypeError, and estimate_pmf(data, -1) returned []
+    data = SampleDataset(Family.POISSON, np.array([0, 1, 1, 3]))
+    for estimate in (estimate_moments, estimate_pmf):
+        with pytest.raises(ContractError, match="T must be a nonnegative integer"):
+            estimate(data, T)
+
+
 def test_plan_uniform_delta_override():
     grid = ParameterGrid(Family.BINOMIAL_P, Fraction(1, 2), 0, 2)
     plan = plan_samples(

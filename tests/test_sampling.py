@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import math
@@ -29,10 +30,11 @@ from mixlearn import (
     sample,
     uniform_spec,
 )
+from mixlearn.grids import UNIT_STEP_FAMILIES
 from mixlearn.sampling import (
+    _CHOICE_BLOCK,
     _DRAW_BLOCK,
     _POISSON_RATE_CAP,
-    _component_draws,
     _layout,
     _poisson,
     derived_rng,
@@ -154,8 +156,38 @@ def test_geometric_p_zero_component_rejected_in_sampling():
         sample(spec, 10, seed=1)
 
 
-def _binomial_rows(rng, n, p, count):
-    return _component_draws(rng, Family.BINOMIAL_P, SharedParams(n=n), p, count)
+def _one_component(family, value, **shared):
+    """A mixture of one component, of parameter ``value``."""
+    offset = value - (1 if family is Family.GEOMETRIC_U else 0)
+    step = 1 if family in UNIT_STEP_FAMILIES or offset == 0 else offset
+    index = int(offset / step)
+    return MixtureSpec(ParameterGrid(family, step, index, index), (index,), (Fraction(1),),
+                       SharedParams(**shared))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator ``sample`` derives during the test, in order, so that
+    a test can read where the walk left it."""
+    made = []
+
+    def derive(seed, stream=0):
+        made.append(derived_rng(seed, stream))
+        return made[-1]
+
+    monkeypatch.setattr(sampling, "derived_rng", derive)
+    return made
+
+
+def _past_the_choice(seed, stream, count):
+    """A generator that has read the ``count`` choice uniforms of a sample."""
+    ref = derived_rng(seed, stream)
+    ref.random(count)
+    return ref
+
+
+def _binomial_rows(n, p, count, seed, stream):
+    return sample(_one_component(Family.BINOMIAL_P, p, n=n), count, seed, stream).values
 
 
 @pytest.mark.parametrize("n, count", [
@@ -165,13 +197,13 @@ def _binomial_rows(rng, n, p, count):
     (7, 6 * (_DRAW_BLOCK // 7) + 8),
     (10_000, 5),
 ])
-def test_chunked_binomial_matches_one_matrix(n, count):
+def test_chunked_binomial_matches_one_matrix(generators, n, count):
     # row blocks consume the uniform stream exactly as one count x n matrix
-    rng, ref_rng = derived_rng(3, n), derived_rng(3, n)
-    got = _binomial_rows(rng, n, 0.3, count)
+    ref_rng = _past_the_choice(3, n, count)
+    got = _binomial_rows(n, Fraction(3, 10), count, 3, n)
     assert got.dtype == np.int64
     assert np.array_equal(got, (ref_rng.random((count, n)) < 0.3).sum(axis=1))
-    assert rng.random() == ref_rng.random()
+    assert generators[-1].random() == ref_rng.random()
 
 
 def _one_matrix_chi_squared(rng, d, count):
@@ -190,11 +222,11 @@ def _one_matrix_chi_squared(rng, d, count):
     (100, 4 * (_DRAW_BLOCK // 200) + 1),  # a last block of one row
     (_DRAW_BLOCK // 2 + 1, 3),  # blocks of one row
 ])
-def test_chi_squared_blocks_match_one_matrix(d, count):
-    rng, ref_rng = derived_rng(3, d), derived_rng(3, d)
-    got = _component_draws(rng, Family.CHI_SQUARED, SharedParams(), d, count)
+def test_chi_squared_blocks_match_one_matrix(generators, d, count):
+    ref_rng = _past_the_choice(3, d, count)
+    got = sample(_one_component(Family.CHI_SQUARED, d), count, 3, d).values
     assert got.tobytes() == _one_matrix_chi_squared(ref_rng, d, count).tobytes()
-    assert rng.random() == ref_rng.random()
+    assert generators[-1].random() == ref_rng.random()
 
 
 #: (family, shared, value, runs, width): one component of each family and
@@ -224,6 +256,16 @@ def test_each_family_is_runs_of_rows(family, shared, value, runs, width):
     assert _layout(family, shared, value)[:2] == (runs, width)
 
 
+def _single(family, shared, value):
+    return _one_component(family, value, **dataclasses.asdict(shared))
+
+
+def _block_rows(runs, width):
+    """The rows of one block of a component of ``runs`` runs of ``width``:
+    their uniforms, values and row indices hold ``_DRAW_BLOCK`` numbers."""
+    return _DRAW_BLOCK // (runs * width + 2)
+
+
 def _one_matrix(rng, family, shared, value, count):
     """One component's draws from one runs x count x width uniform array;
     a constant layout reads the array and fills every row with its value."""
@@ -242,18 +284,18 @@ def _one_matrix(rng, family, shared, value, count):
 @pytest.mark.parametrize("family, shared, value, runs, width", _LAYOUTS + _CONSTANT_LAYOUTS,
                          ids=_LAYOUT_IDS + _CONSTANT_IDS)
 @pytest.mark.parametrize("blocks, extra", [(1, -1), (2, 1), (3, 5)])
-def test_row_blocks_match_one_matrix(monkeypatch, threads, family, shared, value, runs,
-                                     width, blocks, extra):
+def test_row_blocks_match_one_matrix(monkeypatch, generators, threads, family, shared, value,
+                                     runs, width, blocks, extra):
     # one block, or a last block of one row or of a few rows on one thread
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
-    count = blocks * (_DRAW_BLOCK // (runs * width)) + extra
-    rng, ref = derived_rng(6, blocks), derived_rng(6, blocks)
-    got = _component_draws(rng, family, shared, value, count)
+    count = blocks * _block_rows(runs, width) + extra
+    ref = _past_the_choice(6, blocks, count)
+    got = sample(_single(family, shared, value), count, 6, blocks).values
     assert got.tobytes() == _one_matrix(ref, family, shared, value, count).tobytes()
-    assert rng.random() == ref.random()
+    assert generators[-1].random() == ref.random()
 
 
-def test_draw_threads_under_a_short_switch_interval(monkeypatch):
+def test_draw_threads_under_a_short_switch_interval(monkeypatch, generators):
     # five threads on fewer cores, switching often: a lost or misplaced
     # write would show as a row that differs from the one-matrix draw
     monkeypatch.setattr(sampling, "_sampling_threads", 5)
@@ -261,11 +303,11 @@ def test_draw_threads_under_a_short_switch_interval(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for family, shared, value, runs, width in _LAYOUTS:
-            count = 7 * (_DRAW_BLOCK // (runs * width)) + 3
-            rng, ref = derived_rng(8), derived_rng(8)
-            got = _component_draws(rng, family, shared, value, count)
+            count = 7 * _block_rows(runs, width) + 3
+            ref = _past_the_choice(8, 0, count)
+            got = sample(_single(family, shared, value), count, seed=8).values
             assert got.tobytes() == _one_matrix(ref, family, shared, value, count).tobytes()
-            assert rng.random() == ref.random()
+            assert generators[-1].random() == ref.random()
         # and as they place their rows into a shared output
         for spec in _RARE_COMPONENT_SPECS:
             got = sample(spec, 208_953, seed=8).values
@@ -275,13 +317,13 @@ def test_draw_threads_under_a_short_switch_interval(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
-def test_rows_wider_than_a_block_are_one_row_per_block(monkeypatch, threads):
+def test_rows_wider_than_a_block_are_one_row_per_block(monkeypatch, generators, threads):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
     d = _DRAW_BLOCK // 2 + 1  # runs x width = _DRAW_BLOCK + 2
-    rng, ref = derived_rng(7), derived_rng(7)
-    got = _component_draws(rng, Family.CHI_SQUARED, SharedParams(), d, 6)
+    ref = _past_the_choice(7, 0, 6)
+    got = sample(_one_component(Family.CHI_SQUARED, d), 6, seed=7).values
     assert got.tobytes() == _one_matrix(ref, Family.CHI_SQUARED, SharedParams(), d, 6).tobytes()
-    assert rng.random() == ref.random()
+    assert generators[-1].random() == ref.random()
 
 
 @pytest.mark.parametrize("family, shared, value", [
@@ -291,43 +333,45 @@ def test_rows_wider_than_a_block_are_one_row_per_block(monkeypatch, threads):
     # 1.0 - float(p) rounds to 1.0: every geometric of the sum is 0
     (Family.NEG_BINOMIAL, SharedParams(p=Fraction(1, 10**20)), 3),
 ])
-def test_a_component_of_zero_runs_reads_no_uniform(family, shared, value):
+def test_a_component_of_zero_runs_reads_no_uniform(generators, family, shared, value):
     assert _layout(family, shared, value)[0] == 0
-    rng = derived_rng(1)
-    draws = _component_draws(rng, family, shared, value, 1000)
+    draws = sample(_single(family, shared, value), 1000, seed=1).values
     assert draws.dtype == np.int64 and not draws.any()
-    # the first uniform of seed 1, as if the draw had not happened
-    assert rng.random() == 0.5118216247002567
+    # the uniform after the 1000 choice uniforms of seed 1, as if the draw
+    # had not happened
+    assert generators[-1].random() == _past_the_choice(1, 0, 1000).random()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 5])
 @pytest.mark.parametrize("family, shared, value, runs, width", _CONSTANT_LAYOUTS,
                          ids=_CONSTANT_IDS)
-def test_a_constant_component_moves_the_stream_past_its_rows(monkeypatch, threads, family,
-                                                             shared, value, runs, width):
+def test_a_constant_component_moves_the_stream_past_its_rows(monkeypatch, generators, threads,
+                                                             family, shared, value, runs, width):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
-    count = 5 * (_DRAW_BLOCK // (runs * width))  # five blocks of rows
-    rng, ref = derived_rng(6, 5), derived_rng(6, 5)
-    got = _component_draws(rng, family, shared, value, count)
+    count = 5 * _block_rows(runs, width)  # five blocks of rows
+    ref = _past_the_choice(6, 5, count)
+    got = sample(_single(family, shared, value), count, 6, 5).values
     # the counts of uniforms < p in one count x n matrix: all 0 or all n
     assert got.dtype == np.int64
     assert np.array_equal(got, (ref.random((count, width)) < float(value)).sum(axis=1))
-    assert rng.random() == ref.random()
+    assert generators[-1].random() == ref.random()
 
 
 def test_a_constant_component_starts_no_thread_and_holds_no_rows(monkeypatch, started_threads):
     monkeypatch.setattr(sampling, "_sampling_threads", 4)
-    shared, count = SharedParams(n=10), 10**6
-    _component_draws(derived_rng(1), Family.BINOMIAL_P, shared, Fraction(1), 10)  # warm up
+    spec, count = _one_component(Family.BINOMIAL_P, Fraction(1), n=10), 10**6
+    sample(spec, 10, seed=1)  # warm up
     tracemalloc.start()
     try:
-        draws = _component_draws(derived_rng(1), Family.BINOMIAL_P, shared, Fraction(1), count)
+        draws = sample(spec, count, seed=1).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert started_threads == []
-    # neither the 8 MB of draws nor a 1 MB block of uniforms
-    assert peak < 2**16
+    # the output and the choice, and a window's mask and row indices (9
+    # bytes a row of a choice block), but neither a block of uniforms nor
+    # one of values
+    assert peak <= sampling.sample_bytes(spec, count) + 9 * _CHOICE_BLOCK + 2**16
     assert draws.size == count and np.all(draws == 10)
 
 
@@ -340,6 +384,25 @@ def test_each_poisson_rate_builds_its_table_once():
     assert np.array_equal(first.values, second.values)
     # rates 1 and 4, built by the check and read by both draws
     assert _poisson.cache_info().misses == 2
+
+
+def test_a_sample_of_many_poisson_rates_holds_at_most_the_cached_tables():
+    # 64 rates near the cap, a table of about 365 KiB each: a walk holds its
+    # components' layouts, at most as many at a time as _poisson keeps
+    spec = uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 9999), tuple(range(9936, 10000)))
+    _poisson.cache_clear()
+    tracemalloc.start()
+    try:
+        _poisson(_POISSON_RATE_CAP)
+        table = tracemalloc.get_traced_memory()[0]
+        _poisson.cache_clear()  # so that sample builds every table
+        tracemalloc.reset_peak()
+        sample(spec, 1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 32 tables of the cache, and the one it is building, but not 64
+    assert peak < sampling.sample_bytes(spec, 1000) + 33 * table + 2**21
 
 
 def test_a_cached_poisson_table_is_read_only():
@@ -413,21 +476,6 @@ def test_binomial_sampler_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def _searchsorted_reference_sample(spec, count, seed, stream):
-    # reference: a binary search per value picks the component, and boolean
-    # masks scatter each component's draws
-    rng = derived_rng(seed, stream)
-    cumw = np.cumsum([float(w) for w in spec.weights])
-    cumw[-1] = 1.0
-    choice = np.searchsorted(cumw, rng.random(count), side="right")
-    out = np.zeros(count, dtype=np.int64)
-    for c, value in enumerate(spec.values()):
-        mask = choice == c
-        if mask.any():
-            out[mask] = _component_draws(rng, spec.family, spec.shared, value, int(mask.sum()))
-    return out
-
-
 def _one_matrix_sample(spec, count, seed, stream):
     """Reference: a binary search per choice uniform picks each row's
     component, each component draws its rows from one runs x rows x width
@@ -477,7 +525,57 @@ def test_placed_rows_match_one_matrix_per_component(monkeypatch, spec, count):
 ])
 def test_sample_matches_searchsorted_reference(spec):
     got = sample(spec, 30_000, seed=8, stream=3).values
-    assert np.array_equal(got, _searchsorted_reference_sample(spec, 30_000, 8, 3))
+    assert np.array_equal(got, _one_matrix_sample(spec, 30_000, 8, 3))
+
+
+#: (grid, shared) of each family, with at most 40 components; chi-squared
+#: and negative-binomial rows of up to 24 and 12 uniforms keep the one-matrix
+#: reference small
+_WALK_GRIDS = [
+    (ParameterGrid(Family.POISSON, 1, 0, 39), SharedParams()),
+    # p = 0 and p = 1 are constants
+    (ParameterGrid(Family.BINOMIAL_P, Fraction(1, 39), 0, 39), SharedParams(n=10)),
+    # p = 1 is 0 over 0 runs
+    (ParameterGrid(Family.GEOMETRIC_P, Fraction(1, 40), 1, 40), SharedParams()),
+    (ParameterGrid(Family.GEOMETRIC_U, Fraction(1, 2), 0, 39), SharedParams()),
+    (ParameterGrid(Family.GAUSSIAN, 1, 0, 39), SharedParams(sigma=0.5)),
+    (ParameterGrid(Family.CHI_SQUARED, 1, 1, 12), SharedParams()),
+    (ParameterGrid(Family.NEG_BINOMIAL, 1, 1, 12), SharedParams(p=Fraction(1, 3))),
+]
+
+
+@st.composite
+def _walked_samples(draw):
+    """A spec of up to 40 components and random weights, a count at an edge
+    of a window or of a choice block, and a thread count."""
+    grid, shared = draw(st.sampled_from(_WALK_GRIDS))
+    indices = draw(st.lists(st.sampled_from(list(grid.indices())), min_size=1,
+                            max_size=min(40, grid.size), unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(indices),
+                            max_size=len(indices)))
+    spec = MixtureSpec(grid, tuple(indices), tuple(Fraction(w, sum(weights)) for w in weights),
+                       shared)
+    widest = max((runs * width for runs, width, kernel
+                  in (_layout(spec.family, shared, v) for v in spec.values())
+                  if callable(kernel)), default=0)
+    # a block of the widest component's rows, one such block of every
+    # component, and a window (a choice block) and two
+    block = _DRAW_BLOCK // (widest + 2)
+    edge = draw(st.sampled_from([block, block * spec.k, _CHOICE_BLOCK, 2 * _CHOICE_BLOCK]))
+    return spec, max(1, edge + draw(st.integers(-2, 2))), draw(st.integers(1, 5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_walked_samples())
+def test_the_walk_matches_one_matrix_per_component(case):
+    spec, count, threads = case
+    cpus = sampling._sampling_threads
+    sampling._sampling_threads = threads
+    try:
+        got = sample(spec, count, seed=3, stream=threads).values
+    finally:
+        sampling._sampling_threads = cpus
+    assert got.tobytes() == _one_matrix_sample(spec, count, 3, threads).tobytes()
 
 
 def _poisson_cdf(lam):
@@ -519,10 +617,13 @@ def test_poisson_kernel_equals_the_binary_search(lam, drawn, seed):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("lam", [1e-12, 1.0, 7.0, 24.0, _POISSON_RATE_CAP])
 def test_poisson_draws_equal_the_binary_search_at_any_thread_count(monkeypatch, threads, lam):
+    # a rate off the integer grid: the walk of sample, driven directly
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
     count = 3 * _DRAW_BLOCK + 5
-    rng, ref = derived_rng(9), derived_rng(9)
-    got = _component_draws(rng, Family.POISSON, SharedParams(), lam, count)
+    rng, ref = derived_rng(9), _past_the_choice(9, 0, count)
+    choice, per_block = sampling._choose_components(rng, np.ones(1), count)
+    got = np.empty(count, dtype=np.int64)
+    sampling._walk(rng, [_poisson(lam)], 0, choice, per_block, got)
     assert np.array_equal(got, np.searchsorted(_poisson_cdf(lam), ref.random(count), side="right"))
     assert rng.random() == ref.random()
 
@@ -697,10 +798,10 @@ def test_sample_scratch_does_not_grow_with_the_draw_threads(monkeypatch, spec):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the threads of a draw share one block of placement scratch; each of
-    # the 7 more threads adds its bookkeeping and numpy's fixed-size casting
-    # buffers (about 45 KiB for a binomial), where a choice block of row
-    # indices would add 512 KiB
+    # the threads of a walk share one block of scratch; each of the 7 more
+    # threads adds its bookkeeping, its generator copies and numpy's
+    # fixed-size casting buffers (about 45 KiB for a binomial), where a
+    # choice block of row indices would add 512 KiB
     assert peaks[2] <= peaks[1] + 2**19
 
 
@@ -716,11 +817,6 @@ def test_a_draw_past_the_sample_cap_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-
-
-def _one_component(family, value, **shared):
-    return MixtureSpec(ParameterGrid(family, 1, value, value), (value,), (Fraction(1),),
-                       SharedParams(**shared))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -762,12 +858,13 @@ def test_a_row_past_the_sample_cap_allocates_nothing(spec):
     (1000, 8 * (_DRAW_BLOCK // 1000)),
     (7, 4 * (_DRAW_BLOCK // 7) + 3),
 ])
-def test_binomial_rows_do_not_depend_on_the_thread_count(monkeypatch, threads, n, count):
+def test_binomial_rows_do_not_depend_on_the_thread_count(monkeypatch, generators, threads, n,
+                                                         count):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
-    rng, ref = derived_rng(4, n), derived_rng(4, n)
-    got = _binomial_rows(rng, n, 0.3, count)
+    ref = _past_the_choice(4, n, count)
+    got = _binomial_rows(n, Fraction(3, 10), count, 4, n)
     assert np.array_equal(got, (ref.random((count, n)) < 0.3).sum(axis=1))
-    assert rng.random() == ref.random()
+    assert generators[-1].random() == ref.random()
 
 
 @pytest.fixture
@@ -787,15 +884,41 @@ def started_threads(monkeypatch):
 def test_a_draw_of_one_block_starts_no_thread(monkeypatch, started_threads):
     monkeypatch.setattr(sampling, "_sampling_threads", 4)
     for family, shared, value, runs, width in _LAYOUTS:
-        rows = _DRAW_BLOCK // (runs * width)
+        rows, spec = _block_rows(runs, width), _single(family, shared, value)
         started_threads.clear()
-        _component_draws(derived_rng(1), family, shared, value, rows)
+        sample(spec, rows, seed=1)
         assert started_threads == [], family
-        _component_draws(derived_rng(1), family, shared, value, rows + 1)  # two blocks
+        sample(spec, rows + 1, seed=1)  # two blocks
         assert len(started_threads) == 1, family
     started_threads.clear()
     sample(uniform_spec(ParameterGrid(Family.POISSON, 1, 0, 8), (1, 4)), 50_000, seed=1)
     assert started_threads == []
+
+
+def test_a_sample_of_one_block_a_component_copies_no_generator(monkeypatch, started_threads):
+    monkeypatch.setattr(sampling, "_sampling_threads", 4)
+    copies = []
+    deepcopy = copy.deepcopy
+
+    def counting(obj, *args):
+        if isinstance(obj, np.random.PCG64):
+            copies.append(obj)
+        return deepcopy(obj, *args)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    samples = [(_single(family, shared, value), _block_rows(runs, width))
+               for family, shared, value, runs, width in _LAYOUTS + _CONSTANT_LAYOUTS]
+    # the mde-discrete and simulate-learn benchmarks' samples
+    samples += [(_spec(Family.POISSON, (1, 4)), 50_000),
+                (uniform_spec(ParameterGrid(Family.GAUSSIAN, 1, 0, 2), (0, 2),
+                              SharedParams(sigma=1.0)), 50_000)]
+    for spec, count in samples:
+        sample(spec, count, seed=1)
+        assert started_threads == [] and copies == [], spec
+    # components of two blocks each: four ranges, each reading both
+    # components from copies
+    sample(_spec(Family.POISSON, (1, 4)), 4 * _DRAW_BLOCK, seed=1)
+    assert len(started_threads) == 3 and len(copies) == 8
 
 
 def test_no_sampler_thread_outlives_its_call(monkeypatch, started_threads):
@@ -803,8 +926,7 @@ def test_no_sampler_thread_outlives_its_call(monkeypatch, started_threads):
     before = threading.active_count()
     for family, shared, value, runs, width in _LAYOUTS:
         started_threads.clear()
-        _component_draws(derived_rng(2), family, shared, value,
-                         5 * (_DRAW_BLOCK // (runs * width)))
+        sample(_single(family, shared, value), 5 * _block_rows(runs, width), seed=2)
         assert len(started_threads) == 2, family
         assert [t for t in started_threads if t.is_alive()] == []
     # five row blocks per component at n = 10
@@ -829,8 +951,10 @@ def test_a_failing_range_raises_after_every_range_has_ended(monkeypatch, started
 
     out = np.zeros(12, dtype=np.int64)
     rng, ref = derived_rng(3), derived_rng(3)
+    # a block holds four rows of one run of this width
+    layout = (1, _DRAW_BLOCK // 4 - 2, kernel)
     with pytest.raises(RuntimeError) as raised:
-        sampling._draw_rows(rng, 1, _DRAW_BLOCK // 4, kernel, out)
+        sampling._walk(rng, [layout], 0, np.zeros(12, dtype=np.uint8), np.array([[12]]), out)
     assert raised.value is failed[0]
     assert len(started_threads) == 2
     assert [t for t in started_threads if t.is_alive()] == []
@@ -845,17 +969,18 @@ def test_draw_threads_share_one_block_of_scratch(monkeypatch, threads):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
     count = 5 * _DRAW_BLOCK  # five blocks or more for every family
     for family, shared, value, _, _ in _LAYOUTS:
-        _component_draws(derived_rng(1), family, shared, value, 10)  # warm up
+        spec = _single(family, shared, value)
+        sample(spec, 10, seed=1)  # warm up
         tracemalloc.start()
         try:
-            _component_draws(derived_rng(1), family, shared, value, count)
+            sample(spec, count, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 8-byte draws plus one block of float64 scratch and a kernel
-        # temporary of at most the same size, with room for the threads'
-        # bookkeeping but not for a second block
-        assert peak < 8 * count + 16 * _DRAW_BLOCK + 2**19, family
+        # the 8-byte draws and the choice, plus one block of float64
+        # scratch and a kernel temporary of at most the same size, with
+        # room for the threads' bookkeeping but not for a second block
+        assert peak < sampling.sample_bytes(spec, count) + 16 * _DRAW_BLOCK + 2**19, family
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -863,15 +988,15 @@ def test_rows_of_over_half_a_block_take_one_draw_thread(monkeypatch, threads):
     monkeypatch.setattr(sampling, "_sampling_threads", threads)
     # a row of 2 x 60,000 uniforms: a block holds one, so the draw's threads
     # hold one row between them, not one each
-    count = 8
-    _component_draws(derived_rng(1), Family.CHI_SQUARED, SharedParams(), 60_000, 1)  # warm up
+    spec, count = _one_component(Family.CHI_SQUARED, 60_000), 8
+    sample(spec, 1, seed=1)  # warm up
     tracemalloc.start()
     try:
-        _component_draws(derived_rng(1), Family.CHI_SQUARED, SharedParams(), 60_000, count)
+        sample(spec, count, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * count + 16 * _DRAW_BLOCK + 2**19
+    assert peak < sampling.sample_bytes(spec, count) + 16 * _DRAW_BLOCK + 2**19
 
 
 def test_sample_bytes_is_the_same_at_any_cpu_count(monkeypatch, started_threads):
@@ -926,13 +1051,14 @@ def test_an_experiment_never_forks_and_joins_every_thread(monkeypatch, started_t
 
 
 def test_geometric_sampler_memory_is_bounded():
-    rng = derived_rng(1)
-    _component_draws(rng, Family.GEOMETRIC_P, SharedParams(), 0.25, 10)  # warm up
+    spec = _one_component(Family.GEOMETRIC_P, Fraction(1, 4))
+    sample(spec, 10, seed=1)  # warm up
     tracemalloc.start()
     try:
-        _component_draws(rng, Family.GEOMETRIC_P, SharedParams(), 0.25, 10**6)
+        sample(spec, 10**6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int64 result, 8 MB, and one block of uniforms and its int64 floors
-    assert peak < 8 * 10**6 + 2**20 + 2**21
+    # the int64 result, 8 MB, and the choice, and one block of uniforms and
+    # its int64 floors
+    assert peak < sampling.sample_bytes(spec, 10**6) + 2**20 + 2**21
